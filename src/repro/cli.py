@@ -130,6 +130,14 @@ def _make_runner(args: argparse.Namespace):
         # run's instant events alongside the span lanes
         args._trace_events = MemoryEventSink()
         sinks.append(args._trace_events)
+    if sinks:
+        from .obs import InputOrderSink
+
+        # the artifacts read the run in input-app order
+        sinks = [InputOrderSink(sinks)]
+    aggregator = _make_telemetry(args)
+    if aggregator is not None:
+        sinks.append(aggregator)
     events = None
     if sinks:
         from .obs import RunEventLog
@@ -137,19 +145,17 @@ def _make_runner(args: argparse.Namespace):
         events = RunEventLog(sinks)
     # remembered so main() can close the sinks even on a faulted run
     args._events_log = events
-    telemetry = _make_telemetry(args)
     return CorpusRunner(jobs=args.jobs, cache=cache, policy=policy,
                         events=events,
-                        memory=getattr(args, "memory", False),
-                        telemetry=telemetry)
+                        memory=getattr(args, "memory", False))
 
 
 def _make_telemetry(args: argparse.Namespace):
     """Honor --serve-telemetry: start the live endpoint before the run.
 
-    Returns the :class:`repro.obs.LiveAggregator` to attach to the
-    runner (or ``None``).  The server binds 127.0.0.1 only and is shut
-    down by main() after the run, even on faults.
+    Returns the :class:`repro.obs.LiveAggregator` to attach to the run's
+    event bus (or ``None``).  The server binds 127.0.0.1 only and is
+    shut down by main() after the run, even on faults.
     """
     port = getattr(args, "serve_telemetry", None)
     if port is None:
@@ -1318,10 +1324,8 @@ def main(argv: List[str] = None) -> int:
         events = getattr(args, "_events_log", None)
         if events is not None:
             events.close()
-            for sink in events.sinks:
-                path = getattr(sink, "path", None)
-                if path:
-                    print(f"[events] wrote {path}", file=sys.stderr)
+            if getattr(args, "events_out", None):
+                print(f"[events] wrote {args.events_out}", file=sys.stderr)
         server = getattr(args, "_telemetry_server", None)
         if server is not None:
             server.close()

@@ -97,21 +97,13 @@ def corpus_shape(kind: str, names: List[str],
     return shape
 
 
-def _announce_phase(runner: CorpusRunner, phase: str) -> None:
-    """Name the bench phase on the live telemetry endpoint, when one is
-    attached (``--serve-telemetry``); a no-op otherwise."""
-    telemetry = getattr(runner, "telemetry", None)
-    if telemetry is not None:
-        telemetry.set_phase(phase)
-
-
 def run_bench(runner: CorpusRunner,
               apps: Optional[List[AppSpec]] = None,
               config=None) -> Dict[str, Any]:
     """Analyze every app and assemble the benchmark payload."""
     specs = apps if apps is not None else all_apps()
     names = [spec.name for spec in specs]
-    _announce_phase(runner, f"bench:registry:{len(names)}")
+    runner.announce_phase(f"bench:registry:{len(names)}")
     payloads, stats = runner.run("timing", names, {"config": config})
     return _bench_payload(runner, names, payloads, stats,
                           corpus=corpus_shape("registry", names))
@@ -126,7 +118,7 @@ def run_generated_bench(runner: CorpusRunner, gconfig,
 
     names = [generated_app_name(gconfig.seed, index)
              for index in range(gconfig.count)]
-    _announce_phase(runner, f"bench:generated:{len(names)}")
+    runner.announce_phase(f"bench:generated:{len(names)}")
     payloads, stats = runner.run(
         "gen-timing", names,
         {"config": config, "generator": gconfig.to_dict()},

@@ -74,11 +74,9 @@ def run_generated(
     from ..runner.serialize import result_data_from_dict
 
     apps = generate_corpus(gconfig)
-    telemetry = getattr(runner, "telemetry", None)
-    if telemetry is not None:
-        # a generated-corpus run is the canonical long run: name it on
-        # the live /progress endpoint before the fan-out starts
-        telemetry.set_phase(f"generated:{len(apps)}")
+    # a generated-corpus run is the canonical long run: name it on the
+    # live /progress endpoint before the fan-out starts
+    runner.announce_phase(f"generated:{len(apps)}")
     payloads, _ = runner.run(
         "generated",
         [app.name for app in apps],

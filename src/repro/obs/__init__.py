@@ -39,11 +39,16 @@ from .recorder import (
 )
 from .metrics import merge_snapshots, MetricsSnapshot, PEAK_GAUGE_PATTERN
 from .export import (
+    chrome_trace,
+    collapsed_stacks,
     describe_run,
+    prometheus_text,
     render_metrics,
     render_spans,
     snapshot_to_json,
+    trace_from_events,
     write_json,
+    write_trace,
 )
 from .hotspots import (
     collect_hotspots,
@@ -54,6 +59,7 @@ from .hotspots import (
 )
 from .events import (
     EVENTS_SCHEMA,
+    InputOrderSink,
     JsonlEventSink,
     MemoryEventSink,
     ProgressSink,
@@ -63,13 +69,6 @@ from .events import (
     summarize_events,
 )
 from .memory import MemoryTracker, track_memory
-from .exporters import (
-    chrome_trace,
-    collapsed_stacks,
-    prometheus_text,
-    trace_from_events,
-    write_trace,
-)
 from .telemetry import LiveAggregator, TelemetryServer
 
 __all__ = [
@@ -83,6 +82,7 @@ __all__ = [
     "EVENTS_SCHEMA",
     "HOTSPOT_PREFIX",
     "HotspotEntry",
+    "InputOrderSink",
     "JsonlEventSink",
     "LiveAggregator",
     "MemoryEventSink",

@@ -1,8 +1,10 @@
-"""Structured event stream for corpus runs (``--events-out``).
+"""The run-event bus and the folds over it (``--events-out``,
+``--progress``, live telemetry, ``events summarize``).
 
-A long generated-corpus run used to be a silent wait; this module turns
-it into a tail-able JSONL stream.  Each line is one schema-versioned
-event::
+A corpus run reports what happened exactly one way: the runner (and a
+driver announcing a phase) publishes one schema-versioned record per
+fact to a :class:`RunEventLog`, the bus.  Every view of the run is a
+sink folding those records::
 
     {"schema": 1, "event": "app-done", "t": 1.234567, "app": "...",
      "status": "analyzed", "duration_s": 0.021}
@@ -21,18 +23,31 @@ and existing fields never change meaning):
     time, replayed from the cache envelope on hits; absent on faults).
 ``run-end``
     run totals: ``analyzed``, ``cached``, ``faulted``, ``wall_seconds``.
+``phase``
+    ``phase``: a driver names the stage it is entering (e.g.
+    ``generated:200``); shown as the ``/progress`` phase.
 
-Timestamps ``t`` are monotonic seconds since the stream's first event.
+``t`` is stamped by the bus when the record is *published*: seconds
+since the bus's first record, so an app's ``app-start`` and
+``app-done`` bracket its real analysis window.
 
-**Determinism.**  Events are buffered per app and flushed strictly in
-input-app order: app *i*'s block is written the moment its outcome --
-and every earlier app's -- is known.  A ``--jobs 4`` run therefore
-produces the same event sequence as ``--jobs 1`` (only ``t``,
-``duration_s`` and ``wall_seconds`` differ), while a serial run streams
-fully live and a parallel run streams its completed prefix.
+In memory only, ``run-start`` also carries ``names`` (the de-duplicated
+input app order) and ``app-done``/``run-end`` carry ``obs`` (the
+counters and gauges the live aggregator merges).  The ordered stage
+strips both (:data:`IN_MEMORY_FIELDS`), so stream artifacts never see
+them.
 
-:func:`summarize_events` is the reader: the run funnel plus p50/p95/max
-per-app latency, rendered by ``repro events summarize``.
+**Determinism.**  :class:`InputOrderSink` is the ordered stage in front
+of the artifact sinks (JSONL, ``--progress``, the ``--trace-out``
+memory): it buffers records per app and releases whole-app blocks
+strictly in input-app order.  A ``--jobs 4`` run therefore produces the
+same record sequence as ``--jobs 1`` (only ``t``, ``duration_s`` and
+``wall_seconds`` differ); a serial run streams fully live and a
+parallel run streams its completed prefix.  File order is input-app
+order, so ``t`` is not monotone across a parallel stream's lines.
+
+:class:`Funnel` is the one fold that counts a run; :func:`summarize_events`,
+:class:`ProgressSink` and the live aggregator all read from it.
 """
 
 from __future__ import annotations
@@ -48,8 +63,11 @@ EVENTS_SCHEMA = 1
 
 EVENT_TYPES = (
     "run-start", "app-start", "app-done", "cache-hit",
-    "fault", "retry", "timeout", "run-end",
+    "fault", "retry", "timeout", "run-end", "phase",
 )
+
+#: record fields that exist only on the bus; the ordered stage strips them
+IN_MEMORY_FIELDS = ("names", "obs")
 
 
 def encode_event(record: Dict[str, Any]) -> str:
@@ -94,7 +112,7 @@ class MemoryEventSink:
 
 
 class ProgressSink:
-    """The opt-in ``--progress`` stderr line, derived from the stream.
+    """The opt-in ``--progress`` stderr line, read off the run funnel.
 
     One line per closed app: ``[progress] 12/27 apps, 1 fault, 3 cache
     hits``.  Off by default so golden stderr expectations stay
@@ -103,39 +121,37 @@ class ProgressSink:
 
     def __init__(self, stream: TextIO) -> None:
         self._stream = stream
-        self._total = 0
-        self._done = 0
-        self._faults = 0
-        self._cache_hits = 0
+        self._funnel = Funnel()
 
     def emit(self, record: Dict[str, Any]) -> None:
-        event = record.get("event")
-        if event == "run-start":
-            self._total += int(record.get("apps", 0))
-        elif event == "app-done":
-            self._done += 1
-            status = record.get("status")
-            if status == "faulted":
-                self._faults += 1
-            elif status == "cached":
-                self._cache_hits += 1
+        funnel = self._funnel
+        funnel.fold(record)
+        if record.get("event") == "app-done":
+            faults = funnel.statuses["faulted"]
+            hits = funnel.statuses["cached"]
             print(
-                f"[progress] {self._done}/{self._total} apps, "
-                f"{self._faults} fault{'s' if self._faults != 1 else ''}, "
-                f"{self._cache_hits} cache "
-                f"hit{'s' if self._cache_hits != 1 else ''}",
+                f"[progress] {funnel.done}/{funnel.apps} apps, "
+                f"{faults} fault{'s' if faults != 1 else ''}, "
+                f"{hits} cache hit{'s' if hits != 1 else ''}",
                 file=self._stream, flush=True,
             )
 
 
-class RunEventLog:
-    """Ordered, incrementally flushed event log for corpus runs.
+def _close_all(sinks: Iterable[Any]) -> None:
+    for sink in sinks:
+        close = getattr(sink, "close", None)
+        if close is not None:
+            close()
 
-    The runner records per-app events as they happen (in any completion
-    order); the log buffers them per app and flushes whole-app blocks in
-    input order.  Multiple sequential ``run_start``/``run_end`` cycles
-    may share one log (a driver that fans out twice appends two runs to
-    the same stream; ``t`` stays monotonic across them).
+
+class RunEventLog:
+    """The run-event bus: stamps each published record and fans it out.
+
+    :meth:`publish` is the only way a run reports a fact.  The bus adds
+    ``schema`` and ``t`` (publish time) and hands the one record to every
+    sink; sinks must not mutate it.  Sequential runs may share one bus
+    (a driver that fans out twice appends two runs to the same stream;
+    ``t`` keeps counting from the first record).
     """
 
     def __init__(self, sinks: Iterable[Any],
@@ -143,14 +159,8 @@ class RunEventLog:
         self.sinks = list(sinks)
         self._clock = clock
         self._t0: Optional[float] = None
-        self._names: List[str] = []
-        self._buffers: Dict[str, List] = {}
-        self._final: set = set()
-        self._next = 0
 
-    # -- emission -------------------------------------------------------------
-
-    def _emit(self, event: str, **fields: Any) -> None:
+    def publish(self, event: str, **fields: Any) -> None:
         now = self._clock()
         if self._t0 is None:
             self._t0 = now
@@ -160,53 +170,66 @@ class RunEventLog:
         for sink in self.sinks:
             sink.emit(record)
 
+    def close(self) -> None:
+        _close_all(self.sinks)
+
+
+class InputOrderSink:
+    """The ordered stage: re-emits a run's records in input-app order.
+
+    Records naming an app are buffered per app and released as one block
+    once that app -- and every app before it in ``run-start``'s
+    ``names`` -- has its ``app-done``.  Records for unknown or already
+    closed apps are dropped; records without an app pass straight
+    through.  ``run-end`` first releases every buffered block (a
+    fail-fast abort can leave apps open), so the stream stays a faithful
+    prefix of the run.  :data:`IN_MEMORY_FIELDS` never reach the sinks.
+    """
+
+    def __init__(self, sinks: Iterable[Any]) -> None:
+        self.sinks = list(sinks)
+        self._names: List[str] = []
+        self._buffers: Dict[str, List[Dict[str, Any]]] = {}
+        self._final: set = set()
+        self._next = 0
+
+    def _forward(self, record: Dict[str, Any]) -> None:
+        for sink in self.sinks:
+            sink.emit(record)
+
     def _flush_ready(self) -> None:
         while self._next < len(self._names):
             name = self._names[self._next]
             if name not in self._final:
                 break
-            for event, fields in self._buffers.pop(name, ()):
-                self._emit(event, app=name, **fields)
+            for record in self._buffers.pop(name, ()):
+                self._forward(record)
             self._next += 1
 
-    # -- run lifecycle --------------------------------------------------------
-
-    def run_start(self, kind: str, names: Iterable[str]) -> None:
-        self._names = list(dict.fromkeys(names))
-        self._buffers = {name: [] for name in self._names}
-        self._final = set()
-        self._next = 0
-        self._emit("run-start", kind=kind, apps=len(self._names))
-
-    def app_event(self, name: str, event: str, **fields: Any) -> None:
-        """Record one mid-flight event for ``name`` (buffered)."""
-        if name in self._buffers:
-            self._buffers[name].append((event, fields))
-
-    def app_done(self, name: str, status: str,
-                 duration_s: Optional[float] = None) -> None:
-        """Close ``name`` and flush every app whose turn has come."""
-        if name not in self._buffers or name in self._final:
+    def emit(self, record: Dict[str, Any]) -> None:
+        event = record.get("event")
+        app = record.get("app")
+        stored = {key: value for key, value in record.items()
+                  if key not in IN_MEMORY_FIELDS}
+        if event == "run-start":
+            self._names = list(record.get("names", ()))
+            self._buffers = {name: [] for name in self._names}
+            self._final = set()
+            self._next = 0
+        elif app is not None:
+            if app in self._buffers and app not in self._final:
+                self._buffers[app].append(stored)
+                if event == "app-done":
+                    self._final.add(app)
+                    self._flush_ready()
             return
-        fields: Dict[str, Any] = {"status": status}
-        if duration_s is not None:
-            fields["duration_s"] = round(duration_s, 6)
-        self._buffers[name].append(("app-done", fields))
-        self._final.add(name)
-        self._flush_ready()
-
-    def run_end(self, **fields: Any) -> None:
-        # A fail-fast abort can leave apps unclosed; flush what we have
-        # so the stream stays a faithful prefix of the run.
-        self._final.update(self._names)
-        self._flush_ready()
-        self._emit("run-end", **fields)
+        elif event == "run-end":
+            self._final.update(self._names)
+            self._flush_ready()
+        self._forward(stored)
 
     def close(self) -> None:
-        for sink in self.sinks:
-            close = getattr(sink, "close", None)
-            if close is not None:
-                close()
+        _close_all(self.sinks)
 
 
 # -- reading ------------------------------------------------------------------
@@ -244,45 +267,77 @@ def percentile(values: List[float], q: float) -> float:
     return ordered[rank - 1]
 
 
-def summarize_events(records: List[Dict[str, Any]]) -> Dict[str, Any]:
-    """The funnel and latency digest of one event stream."""
-    summary: Dict[str, Any] = {
-        "runs": 0, "apps": 0, "analyzed": 0, "cached": 0, "faulted": 0,
-        "retries": 0, "timeouts": 0, "fault_kinds": {},
-        "latency": None,
-    }
-    durations: List[float] = []
-    for record in records:
+class Funnel:
+    """The run funnel, folded one record at a time.
+
+    Counts runs, input apps, closed apps by status, retries, timeouts and
+    fault kinds, and keeps every reported ``duration_s`` for the latency
+    quantiles.  Every run summary -- ``events summarize``, the
+    ``[progress]`` line, ``/progress`` and the ``telemetry.*`` counters
+    -- reads from this one fold.
+    """
+
+    def __init__(self) -> None:
+        self.runs = 0
+        self.apps = 0
+        self.done = 0
+        self.statuses: Dict[str, int] = {
+            "analyzed": 0, "cached": 0, "faulted": 0,
+        }
+        self.retries = 0
+        self.timeouts = 0
+        self.fault_kinds: Dict[str, int] = {}
+        self.durations: List[float] = []
+
+    def fold(self, record: Dict[str, Any]) -> None:
         event = record.get("event")
         if event == "run-start":
-            summary["runs"] += 1
-            summary["apps"] += int(record.get("apps", 0))
+            self.runs += 1
+            self.apps += int(record.get("apps", 0))
         elif event == "retry":
-            summary["retries"] += 1
+            self.retries += 1
         elif event == "timeout":
-            summary["timeouts"] += 1
+            self.timeouts += 1
         elif event == "fault":
             kind = str(record.get("kind", "unknown"))
-            summary["fault_kinds"][kind] = \
-                summary["fault_kinds"].get(kind, 0) + 1
+            self.fault_kinds[kind] = self.fault_kinds.get(kind, 0) + 1
         elif event == "app-done":
-            status = record.get("status")
-            if status == "analyzed":
-                summary["analyzed"] += 1
-            elif status == "cached":
-                summary["cached"] += 1
-            elif status == "faulted":
-                summary["faulted"] += 1
+            self.done += 1
+            status = str(record.get("status"))
+            self.statuses[status] = self.statuses.get(status, 0) + 1
             if record.get("duration_s") is not None:
-                durations.append(float(record["duration_s"]))
-    if durations:
-        summary["latency"] = {
-            "apps": len(durations),
-            "p50_s": percentile(durations, 0.50),
-            "p95_s": percentile(durations, 0.95),
-            "max_s": max(durations),
+                self.durations.append(float(record["duration_s"]))
+
+    def latency(self) -> Optional[Dict[str, Any]]:
+        """p50/p95/max over the reported durations (``None`` if none)."""
+        if not self.durations:
+            return None
+        return {
+            "apps": len(self.durations),
+            "p50_s": percentile(self.durations, 0.50),
+            "p95_s": percentile(self.durations, 0.95),
+            "max_s": max(self.durations),
         }
-    return summary
+
+    def summary(self) -> Dict[str, Any]:
+        """The ``events summarize --json`` digest."""
+        return {
+            "runs": self.runs, "apps": self.apps,
+            "analyzed": self.statuses["analyzed"],
+            "cached": self.statuses["cached"],
+            "faulted": self.statuses["faulted"],
+            "retries": self.retries, "timeouts": self.timeouts,
+            "fault_kinds": dict(self.fault_kinds),
+            "latency": self.latency(),
+        }
+
+
+def summarize_events(records: Iterable[Dict[str, Any]]) -> Dict[str, Any]:
+    """The funnel and latency digest of one event stream."""
+    funnel = Funnel()
+    for record in records:
+        funnel.fold(record)
+    return funnel.summary()
 
 
 def render_events_summary(summary: Dict[str, Any]) -> str:

@@ -4,9 +4,9 @@ A 1000-app generated-corpus run (or a future ``repro serve`` daemon) is
 minutes of silence unless something exposes its state *while it runs*.
 This module provides that surface with the stdlib only:
 
-* :class:`LiveAggregator` -- a thread-safe sink the corpus runner feeds
-  as each app starts/finishes.  It maintains the run funnel (done /
-  total, analyzed / cached / faulted, retries), per-app latency
+* :class:`LiveAggregator` -- a thread-safe sink on the run-event bus
+  that folds each record the moment it is published: the run funnel
+  (done / total, analyzed / cached / faulted, retries), per-app latency
   quantiles, and a merged :class:`~repro.obs.metrics.MetricsSnapshot`
   of every finished app's counters and gauges (span trees are *not*
   retained -- the aggregator is O(metrics), not O(run)).
@@ -15,7 +15,7 @@ This module provides that surface with the stdlib only:
   public one) serving:
 
   - ``/metrics``  -- Prometheus text exposition of the aggregate
-    (via :func:`repro.obs.exporters.prometheus_text`),
+    (via :func:`repro.obs.export.prometheus_text`),
   - ``/healthz``  -- liveness (``ok``),
   - ``/progress`` -- JSON: apps done/total, faults, retries, p50/p95
     latency so far, the current phase.
@@ -34,8 +34,8 @@ import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Dict, List, Optional, Tuple
 
-from .events import percentile
-from .exporters import prometheus_text
+from .events import Funnel
+from .export import prometheus_text
 from .metrics import merge_snapshots, MetricsSnapshot
 
 #: the only address the telemetry endpoint ever binds; serving run
@@ -62,85 +62,48 @@ class LoopbackHTTPServer(ThreadingHTTPServer):
 class LiveAggregator:
     """Thread-safe run aggregation behind the telemetry endpoint.
 
-    The runner thread calls the ``run_*``/``app_*`` hooks; HTTP handler
-    threads call :meth:`progress`, :meth:`prometheus`, and
-    :meth:`healthy` concurrently.  All state lives behind one lock.
+    A plain bus sink: the runner thread delivers records through
+    :meth:`emit`; HTTP handler threads call :meth:`progress`,
+    :meth:`prometheus`, and :meth:`healthy` concurrently.  All state
+    lives behind one lock.
     """
 
     def __init__(self, clock=time.monotonic) -> None:
         self._lock = threading.Lock()
         self._clock = clock
         self._started_at = clock()
-        #: explicit driver-level label (set_phase) -- wins over the kind
+        #: the latest driver ``phase`` record -- wins over the kind
         self._phase: Optional[str] = None
-        #: the task kind of the current run (run_started)
+        #: the task kind of the current run (``idle`` between runs)
         self._kind = "idle"
-        self._runs = 0
-        self._total = 0
-        self._done = 0
-        self._statuses: Dict[str, int] = {
-            "analyzed": 0, "cached": 0, "faulted": 0,
-        }
-        self._retries = 0
+        self._funnel = Funnel()
         self._active: List[str] = []
-        self._durations: List[float] = []
         self._merged = MetricsSnapshot()
 
-    # -- runner-side hooks ----------------------------------------------------
-
-    def run_started(self, kind: str, apps: int) -> None:
+    def emit(self, record: Dict[str, Any]) -> None:
+        event = record.get("event")
+        app = record.get("app")
         with self._lock:
-            self._runs += 1
-            self._total += int(apps)
-            self._kind = kind
-
-    def set_phase(self, phase: str) -> None:
-        """Name the current stage of a multi-run driver (e.g. a bench
-        that fans out twice); surfaced in ``/progress``."""
-        with self._lock:
-            self._phase = str(phase)
-
-    def app_started(self, name: str) -> None:
-        with self._lock:
-            if name not in self._active:
-                self._active.append(name)
-
-    def record_retry(self) -> None:
-        with self._lock:
-            self._retries += 1
-
-    def app_finished(self, name: str, status: str,
-                     duration_s: Optional[float] = None,
-                     snapshot: Optional[MetricsSnapshot] = None) -> None:
-        with self._lock:
-            self._done += 1
-            self._statuses[status] = self._statuses.get(status, 0) + 1
-            if name in self._active:
-                self._active.remove(name)
-            if duration_s is not None:
-                self._durations.append(float(duration_s))
-            if snapshot is not None:
+            self._funnel.fold(record)
+            if event == "run-start":
+                self._kind = str(record.get("kind"))
+            elif event == "run-end":
+                self._kind = "idle"
+            elif event == "phase":
+                self._phase = str(record.get("phase"))
+            elif event == "app-start" and app not in self._active:
+                self._active.append(app)
+            elif event == "app-done" and app in self._active:
+                self._active.remove(app)
+            obs = record.get("obs")
+            if obs is not None:
                 # merge counters/gauges only: spans would make the
                 # aggregator's footprint proportional to the run
                 self._merged = merge_snapshots([
                     self._merged,
-                    MetricsSnapshot(counters=snapshot.counters,
-                                    gauges=snapshot.gauges),
+                    MetricsSnapshot(counters=obs.counters,
+                                    gauges=obs.gauges),
                 ])
-
-    def run_finished(self, run_snapshot: Optional[MetricsSnapshot] = None) \
-            -> None:
-        """Close one run; ``run_snapshot`` (the runner's fan-out/cache
-        counters) joins the aggregate so ``/metrics`` exposes the
-        ``runner.*`` family too."""
-        with self._lock:
-            if run_snapshot is not None:
-                self._merged = merge_snapshots([
-                    self._merged,
-                    MetricsSnapshot(counters=run_snapshot.counters,
-                                    gauges=run_snapshot.gauges),
-                ])
-            self._kind = "idle"
 
     # -- reader side ----------------------------------------------------------
 
@@ -150,28 +113,21 @@ class LiveAggregator:
     def progress(self) -> Dict[str, Any]:
         """The ``/progress`` JSON payload."""
         with self._lock:
-            latency = None
-            if self._durations:
-                latency = {
-                    "apps": len(self._durations),
-                    "p50_s": percentile(self._durations, 0.50),
-                    "p95_s": percentile(self._durations, 0.95),
-                    "max_s": max(self._durations),
-                }
+            funnel = self._funnel
             return {
                 "phase": self._phase or self._kind,
                 "kind": self._kind,
-                "runs": self._runs,
+                "runs": funnel.runs,
                 "apps": {
-                    "total": self._total,
-                    "done": self._done,
-                    "analyzed": self._statuses.get("analyzed", 0),
-                    "cached": self._statuses.get("cached", 0),
-                    "faulted": self._statuses.get("faulted", 0),
+                    "total": funnel.apps,
+                    "done": funnel.done,
+                    "analyzed": funnel.statuses["analyzed"],
+                    "cached": funnel.statuses["cached"],
+                    "faulted": funnel.statuses["faulted"],
                 },
                 "active": list(self._active),
-                "retries": self._retries,
-                "latency": latency,
+                "retries": funnel.retries,
+                "latency": funnel.latency(),
                 "uptime_s": round(self._clock() - self._started_at, 6),
             }
 
@@ -179,25 +135,24 @@ class LiveAggregator:
         """The merged metrics plus the aggregator's own ``telemetry.*``
         funnel counters/gauges, as one snapshot."""
         with self._lock:
+            funnel = self._funnel
             counters = dict(self._merged.counters)
             gauges = dict(self._merged.gauges)
-            counters["telemetry.runs"] = self._runs
-            counters["telemetry.apps.total"] = self._total
-            counters["telemetry.apps.done"] = self._done
-            for status in sorted(self._statuses):
+            counters["telemetry.runs"] = funnel.runs
+            counters["telemetry.apps.total"] = funnel.apps
+            counters["telemetry.apps.done"] = funnel.done
+            for status in sorted(funnel.statuses):
                 counters[f"telemetry.apps.{status}"] = \
-                    self._statuses[status]
-            counters["telemetry.retries"] = self._retries
+                    funnel.statuses[status]
+            counters["telemetry.retries"] = funnel.retries
             gauges["telemetry.apps.active"] = float(len(self._active))
             gauges["telemetry.uptime_seconds"] = \
                 self._clock() - self._started_at
-            if self._durations:
-                gauges["telemetry.latency.p50_seconds"] = \
-                    percentile(self._durations, 0.50)
-                gauges["telemetry.latency.p95_seconds"] = \
-                    percentile(self._durations, 0.95)
-                gauges["telemetry.latency.max_seconds"] = \
-                    max(self._durations)
+            latency = funnel.latency()
+            if latency is not None:
+                gauges["telemetry.latency.p50_seconds"] = latency["p50_s"]
+                gauges["telemetry.latency.p95_seconds"] = latency["p95_s"]
+                gauges["telemetry.latency.max_seconds"] = latency["max_s"]
             return MetricsSnapshot(counters=counters, gauges=gauges)
 
     def prometheus(self) -> str:

@@ -75,31 +75,6 @@ class FaultPolicy:
 Observer = Callable[[str, str, Any], None]
 
 
-def compose_observers(
-    observers: Sequence[Optional[Observer]],
-) -> Optional[Observer]:
-    """Fan one pool-observer slot out to several sinks.
-
-    The runner narrates each run to up to two independent consumers --
-    the ordered event log and the live telemetry aggregator -- through
-    the single ``observer`` parameter; this composes them.  ``None``
-    entries are dropped; an empty set composes to ``None`` (no observer
-    overhead at all).  Callbacks fire in input order, on the pool's
-    coordinating thread.
-    """
-    active = [observer for observer in observers if observer is not None]
-    if not active:
-        return None
-    if len(active) == 1:
-        return active[0]
-
-    def observer(event: str, name: str, payload: Any) -> None:
-        for callback in active:
-            callback(event, name, payload)
-
-    return observer
-
-
 @dataclass
 class PoolOutcome:
     """What one batch of tasks actually did."""

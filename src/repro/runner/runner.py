@@ -28,13 +28,12 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..obs import merge_snapshots, MetricsSnapshot, Recorder, RunEventLog
 from ..obs import span as obs_span, track_memory, use as obs_use
-from ..obs.telemetry import LiveAggregator
 from ..resilience import (
     active_plan,
     checkpoint,
-    compose_observers,
     Fault,
     FaultPolicy,
+    Observer,
     run_tasks,
     task_scope,
 )
@@ -176,6 +175,43 @@ def _envelope_snapshot(envelope: Dict[str, Any]) -> Optional[MetricsSnapshot]:
     return MetricsSnapshot.from_dict(obs)
 
 
+def _publisher(events: RunEventLog, policy: FaultPolicy) -> Observer:
+    """The run's one pool observer: each pool callback becomes the
+    records it stands for on the bus.  The runner also calls it with
+    ``"cached"`` (payload the replayed envelope) for each cache hit."""
+
+    def publish_done(name: str, status: str,
+                     envelope: Optional[Dict[str, Any]] = None) -> None:
+        fields: Dict[str, Any] = {}
+        if envelope is not None:
+            duration = _envelope_duration(envelope)
+            if duration is not None:
+                fields["duration_s"] = round(duration, 6)
+            snapshot = _envelope_snapshot(envelope)
+            if snapshot is not None:
+                fields["obs"] = snapshot
+        events.publish("app-done", app=name, status=status, **fields)
+
+    def observe(event: str, name: str, payload: Any) -> None:
+        if event == "start":
+            events.publish("app-start", app=name)
+        elif event == "retry":
+            events.publish("retry", app=name, kind=payload.kind)
+        elif event == "fault":
+            if payload.kind == "timeout" and policy.timeout is not None:
+                events.publish("timeout", app=name, seconds=policy.timeout)
+            events.publish("fault", app=name, kind=payload.kind)
+            publish_done(name, "faulted")
+        elif event == "cached":
+            events.publish("app-start", app=name)
+            events.publish("cache-hit", app=name)
+            publish_done(name, "cached", payload)
+        elif event == "ok":
+            publish_done(name, "analyzed", payload)
+
+    return observe
+
+
 def _source_for(kind: str, app_name: str, params: Dict[str, Any]) -> str:
     """The source text whose content addresses this task's cache entry."""
     if kind == "analyze":
@@ -297,34 +333,35 @@ class CorpusRunner:
     payloads -- drivers skip them -- and the normalized faults are
     exposed, in input-app order, as :attr:`last_faults`.
 
-    ``events`` attaches a :class:`repro.obs.RunEventLog`: the runner
-    narrates each run as a structured event stream (run-start, per-app
-    lifecycle, run-end) flushed in input-app order.  ``memory=True``
-    turns on tracemalloc peak gauges in every worker; it joins the cache
-    fingerprint, so instrumented and plain runs never share entries.
-
-    ``telemetry`` attaches a :class:`repro.obs.LiveAggregator`: the
-    runner feeds it each app's outcome (and metrics snapshot) the moment
-    it lands, which is what the ``--serve-telemetry`` endpoint reads
-    mid-run.  The aggregator is a pure observer -- results, reports and
-    bench counters are byte-identical with and without it.
+    ``events`` attaches a :class:`repro.obs.RunEventLog`, the run-event
+    bus: the runner publishes each fact of a run to it once (run-start,
+    per-app lifecycle with the app's metrics, run-end), and its sinks --
+    the ordered ``--events-out``/``--progress`` stage, the live
+    ``--serve-telemetry`` aggregator -- fold the records.  Sinks only
+    observe: results, reports and bench counters are byte-identical with
+    and without them.  ``memory=True`` turns on tracemalloc peak gauges
+    in every worker; it joins the cache fingerprint, so instrumented and
+    plain runs never share entries.
     """
 
     def __init__(self, jobs: int = 1,
                  cache: Optional[ResultCache] = None,
                  policy: Optional[FaultPolicy] = None,
                  events: Optional[RunEventLog] = None,
-                 memory: bool = False,
-                 telemetry: Optional[LiveAggregator] = None) -> None:
+                 memory: bool = False) -> None:
         self.jobs = max(1, int(jobs))
         self.cache = cache
         self.policy = policy or FaultPolicy()
         self.events = events
         self.memory = bool(memory)
-        self.telemetry = telemetry
         self.last_stats: Optional[RunStats] = None
         self.last_metrics: Optional[RunMetrics] = None
         self.last_faults: List[Fault] = []
+
+    def announce_phase(self, phase: str) -> None:
+        """Publish a driver ``phase`` record (the ``/progress`` phase)."""
+        if self.events is not None:
+            self.events.publish("phase", phase=phase)
 
     @staticmethod
     def _fingerprint(params: Dict[str, Any]) -> Dict[str, Any]:
@@ -367,19 +404,18 @@ class CorpusRunner:
             if self.cache is not None else (0, 0, 0, 0)
         )
 
+        names = list(dict.fromkeys(app_names))
         events = self.events
-        telemetry = self.telemetry
+        observer = None
         if events is not None:
-            events.run_start(kind, app_names)
-        if telemetry is not None:
-            telemetry.run_started(kind, len(dict.fromkeys(app_names)))
+            events.publish("run-start", kind=kind, apps=len(names),
+                           names=names)
+            observer = _publisher(events, self.policy)
 
         envelopes: Dict[str, Dict[str, Any]] = {}
         keys: Dict[str, str] = {}
         pending: List[str] = []
-        for name in app_names:
-            if name in envelopes or name in pending:
-                continue  # duplicate input name: analyze once
+        for name in names:
             if self.cache is not None:
                 key = cache_key(kind, _source_for(kind, name, params),
                                 fingerprint)
@@ -387,55 +423,10 @@ class CorpusRunner:
                 hit = self.cache.lookup(key)
                 if hit is not None:
                     envelopes[name] = hit
-                    if events is not None:
-                        events.app_event(name, "app-start")
-                        events.app_event(name, "cache-hit")
-                        events.app_done(name, "cached",
-                                        _envelope_duration(hit))
-                    if telemetry is not None:
-                        telemetry.app_finished(
-                            name, "cached", _envelope_duration(hit),
-                            _envelope_snapshot(hit),
-                        )
+                    if observer is not None:
+                        observer("cached", name, hit)
                     continue
             pending.append(name)
-
-        events_observer = None
-        if events is not None:
-            def events_observer(event: str, name: str,
-                                payload: Any) -> None:
-                if event == "start":
-                    events.app_event(name, "app-start")
-                elif event == "retry":
-                    events.app_event(name, "retry", kind=payload.kind)
-                elif event == "fault":
-                    if payload.kind == "timeout" \
-                            and self.policy.timeout is not None:
-                        events.app_event(name, "timeout",
-                                         seconds=self.policy.timeout)
-                    events.app_event(name, "fault", kind=payload.kind)
-                    events.app_done(name, "faulted")
-                elif event == "ok":
-                    events.app_done(name, "analyzed",
-                                    _envelope_duration(payload))
-
-        telemetry_observer = None
-        if telemetry is not None:
-            def telemetry_observer(event: str, name: str,
-                                   payload: Any) -> None:
-                if event == "start":
-                    telemetry.app_started(name)
-                elif event == "retry":
-                    telemetry.record_retry()
-                elif event == "fault":
-                    telemetry.app_finished(name, "faulted")
-                elif event == "ok":
-                    telemetry.app_finished(
-                        name, "analyzed", _envelope_duration(payload),
-                        _envelope_snapshot(payload),
-                    )
-
-        observer = compose_observers([events_observer, telemetry_observer])
 
         retries = 0
         faults: Dict[str, Fault] = {}
@@ -470,14 +461,14 @@ class CorpusRunner:
             stats.cache_stores = self.cache.stores - cache_base[2]
             stats.cache_corrupt = self.cache.corrupt - cache_base[3]
         if events is not None:
-            events.run_end(
+            events.publish(
+                "run-end",
                 analyzed=stats.analyzed,
                 cached=stats.cached,
                 faulted=stats.faulted,
                 wall_seconds=round(stats.wall_seconds, 6),
+                obs=stats.to_snapshot(),
             )
-        if telemetry is not None:
-            telemetry.run_finished(stats.to_snapshot())
         self.last_stats = stats
         self.last_faults = [faults[name] for name in app_names
                             if name in faults]

@@ -36,6 +36,7 @@ from dataclasses import dataclass, field
 from http.server import BaseHTTPRequestHandler
 from typing import Any, Deque, Dict, List, Optional, Tuple
 
+from ..obs import RunEventLog
 from ..obs.telemetry import (
     LiveAggregator,
     LoopbackHTTPServer,
@@ -129,6 +130,9 @@ class AnalysisService:
         self.cache = cache
         self.default_policy = policy or FaultPolicy(keep_going=True)
         self.telemetry = telemetry
+        #: every job's runner publishes to one bus feeding the aggregator
+        self.events = RunEventLog([telemetry]) if telemetry is not None \
+            else None
         self.queue_limit = max(0, int(queue_limit))
         self._lock = threading.Lock()
         self._wake = threading.Condition(self._lock)
@@ -220,14 +224,14 @@ class AnalysisService:
 
     def _make_runner(self, spec: JobSpec) -> CorpusRunner:
         """A fresh (cheap) runner per job: per-job policy, shared warm
-        cache, shared telemetry aggregator."""
+        cache, shared event bus."""
         policy = spec.policy()
         if policy.timeout is None and self.default_policy.timeout:
             policy = FaultPolicy(timeout=self.default_policy.timeout,
                                  max_retries=policy.max_retries,
                                  keep_going=True)
         return CorpusRunner(jobs=self.jobs, cache=self.cache,
-                            policy=policy, telemetry=self.telemetry)
+                            policy=policy, events=self.events)
 
     def _drain(self) -> None:
         while True:
@@ -239,8 +243,8 @@ class AnalysisService:
                 if job is None:
                     return
                 job.status = "running"
-            if self.telemetry is not None:
-                self.telemetry.set_phase(f"job:{job.id}")
+            if self.events is not None:
+                self.events.publish("phase", phase=f"job:{job.id}")
             started = time.perf_counter()
             try:
                 job.result = execute_job(job.spec, self._make_runner(job.spec))

@@ -9,6 +9,7 @@ import pytest
 from repro.obs.events import (
     encode_event,
     EVENTS_SCHEMA,
+    InputOrderSink,
     JsonlEventSink,
     percentile,
     ProgressSink,
@@ -28,9 +29,15 @@ class ListSink:
 
 
 def _log(sink):
-    """A log with a fake clock so ``t`` is deterministic."""
+    """A bus feeding the ordered stage, with a fake clock so ``t`` is
+    deterministic."""
     ticks = itertools.count()
-    return RunEventLog([sink], clock=lambda: float(next(ticks)))
+    return RunEventLog([InputOrderSink([sink])],
+                       clock=lambda: float(next(ticks)))
+
+
+def _run_start(log, kind, names):
+    log.publish("run-start", kind=kind, apps=len(names), names=names)
 
 
 def _trace(sink):
@@ -45,21 +52,21 @@ def test_events_flush_in_input_order_despite_completion_order():
     stream is identical to what a serial run would produce."""
     sink = ListSink()
     log = _log(sink)
-    log.run_start("timing", ["a", "b", "c"])
-    log.app_event("b", "app-start")
-    log.app_done("b", "analyzed", duration_s=0.5)
+    _run_start(log, "timing", ["a", "b", "c"])
+    log.publish("app-start", app="b")
+    log.publish("app-done", app="b", status="analyzed", duration_s=0.5)
     assert _trace(sink) == [("run-start", None)]  # a still open
-    log.app_event("a", "app-start")
-    log.app_done("a", "analyzed", duration_s=0.25)
+    log.publish("app-start", app="a")
+    log.publish("app-done", app="a", status="analyzed", duration_s=0.25)
     # a's close releases both a's and b's blocks, in input order
     assert _trace(sink) == [
         ("run-start", None),
         ("app-start", "a"), ("app-done", "a"),
         ("app-start", "b"), ("app-done", "b"),
     ]
-    log.app_event("c", "cache-hit")
-    log.app_done("c", "cached")
-    log.run_end(analyzed=2, cached=1, faulted=0, wall_seconds=1.0)
+    log.publish("cache-hit", app="c")
+    log.publish("app-done", app="c", status="cached")
+    log.publish("run-end", analyzed=2, cached=1, faulted=0, wall_seconds=1.0)
     assert _trace(sink)[-3:] == [
         ("cache-hit", "c"), ("app-done", "c"), ("run-end", None),
     ]
@@ -68,8 +75,8 @@ def test_events_flush_in_input_order_despite_completion_order():
 def test_timestamps_are_relative_and_schema_stamped():
     sink = ListSink()
     log = _log(sink)
-    log.run_start("timing", ["a"])
-    log.app_done("a", "analyzed", duration_s=1.0)
+    _run_start(log, "timing", ["a"])
+    log.publish("app-done", app="a", status="analyzed", duration_s=1.0)
     assert all(r["schema"] == EVENTS_SCHEMA for r in sink.records)
     # the first event anchors t=0; later events carry the fake-clock delta
     assert sink.records[0]["t"] == 0.0
@@ -79,10 +86,10 @@ def test_timestamps_are_relative_and_schema_stamped():
 def test_events_for_unknown_apps_are_dropped():
     sink = ListSink()
     log = _log(sink)
-    log.run_start("timing", ["a"])
-    log.app_event("ghost", "app-start")
-    log.app_done("ghost", "analyzed")
-    log.app_done("a", "analyzed")
+    _run_start(log, "timing", ["a"])
+    log.publish("app-start", app="ghost")
+    log.publish("app-done", app="ghost", status="analyzed")
+    log.publish("app-done", app="a", status="analyzed")
     assert [r.get("app") for r in sink.records[1:]] == ["a"]
 
 
@@ -91,11 +98,11 @@ def test_run_end_force_flushes_unclosed_apps():
     buffered prefix so the stream is a faithful record."""
     sink = ListSink()
     log = _log(sink)
-    log.run_start("timing", ["a", "b"])
-    log.app_event("a", "app-start")
-    log.app_event("b", "app-start")
-    log.app_done("a", "analyzed", duration_s=0.1)
-    log.run_end(analyzed=1, cached=0, faulted=0, wall_seconds=0.2)
+    _run_start(log, "timing", ["a", "b"])
+    log.publish("app-start", app="a")
+    log.publish("app-start", app="b")
+    log.publish("app-done", app="a", status="analyzed", duration_s=0.1)
+    log.publish("run-end", analyzed=1, cached=0, faulted=0, wall_seconds=0.2)
     assert _trace(sink) == [
         ("run-start", None),
         ("app-start", "a"), ("app-done", "a"),
@@ -107,9 +114,9 @@ def test_run_end_force_flushes_unclosed_apps():
 def test_duplicate_app_done_is_ignored():
     sink = ListSink()
     log = _log(sink)
-    log.run_start("timing", ["a"])
-    log.app_done("a", "analyzed")
-    log.app_done("a", "faulted")
+    _run_start(log, "timing", ["a"])
+    log.publish("app-done", app="a", status="analyzed")
+    log.publish("app-done", app="a", status="faulted")
     done = [r for r in sink.records if r["event"] == "app-done"]
     assert len(done) == 1 and done[0]["status"] == "analyzed"
 
@@ -121,10 +128,10 @@ def test_jsonl_sink_roundtrips_through_read_events(tmp_path):
     path = tmp_path / "events.jsonl"
     sink = JsonlEventSink(str(path))
     log = _log(sink)
-    log.run_start("timing", ["a"])
-    log.app_event("a", "app-start")
-    log.app_done("a", "analyzed", duration_s=0.125)
-    log.run_end(analyzed=1, cached=0, faulted=0, wall_seconds=0.5)
+    _run_start(log, "timing", ["a"])
+    log.publish("app-start", app="a")
+    log.publish("app-done", app="a", status="analyzed", duration_s=0.125)
+    log.publish("run-end", analyzed=1, cached=0, faulted=0, wall_seconds=0.5)
     log.close()
     records = read_events(str(path))
     assert [r["event"] for r in records] == [
@@ -176,17 +183,17 @@ def test_percentile_is_nearest_rank():
 def test_summarize_events_builds_the_funnel():
     sink = ListSink()
     log = _log(sink)
-    log.run_start("timing", ["a", "b", "c"])
-    log.app_event("a", "app-start")
-    log.app_done("a", "analyzed", duration_s=0.2)
-    log.app_event("b", "cache-hit")
-    log.app_done("b", "cached", duration_s=0.1)
-    log.app_event("c", "app-start")
-    log.app_event("c", "retry", kind="oom")
-    log.app_event("c", "timeout", seconds=5.0)
-    log.app_event("c", "fault", kind="timeout")
-    log.app_done("c", "faulted")
-    log.run_end(analyzed=1, cached=1, faulted=1, wall_seconds=0.4)
+    _run_start(log, "timing", ["a", "b", "c"])
+    log.publish("app-start", app="a")
+    log.publish("app-done", app="a", status="analyzed", duration_s=0.2)
+    log.publish("cache-hit", app="b")
+    log.publish("app-done", app="b", status="cached", duration_s=0.1)
+    log.publish("app-start", app="c")
+    log.publish("retry", app="c", kind="oom")
+    log.publish("timeout", app="c", seconds=5.0)
+    log.publish("fault", app="c", kind="timeout")
+    log.publish("app-done", app="c", status="faulted")
+    log.publish("run-end", analyzed=1, cached=1, faulted=1, wall_seconds=0.4)
     summary = summarize_events(sink.records)
     assert summary["runs"] == 1 and summary["apps"] == 3
     assert (summary["analyzed"], summary["cached"], summary["faulted"]) \

@@ -1,4 +1,4 @@
-"""Tests for repro.obs.exporters (ISSUE 8): the Prometheus text,
+"""Tests for repro.obs.export (ISSUE 8): the Prometheus text,
 Chrome trace-event, and collapsed-stack translations.
 
 Covers the format contracts documented in ``docs/observability.md``:
@@ -19,7 +19,7 @@ from repro.obs import (
     trace_from_events,
     write_trace,
 )
-from repro.obs.exporters import (
+from repro.obs.export import (
     escape_label_value,
     metric_family,
     sanitize_metric_name,

@@ -15,11 +15,16 @@ from repro.obs import (
     LiveAggregator,
     MetricsSnapshot,
     prometheus_text,
+    RunEventLog,
 )
 from repro.obs.telemetry import TELEMETRY_HOST, TelemetryServer
 from repro.runner import CorpusRunner
 
 SUBSET = ["todolist", "swiftnotes", "clipstack"]
+
+
+def _record(event, **fields):
+    return {"schema": 1, "event": event, "t": 0.0, **fields}
 
 
 # -- LiveAggregator -----------------------------------------------------------
@@ -37,14 +42,15 @@ def test_aggregator_starts_idle():
 
 def test_aggregator_tracks_the_run_funnel():
     agg = LiveAggregator(clock=lambda: 0.0)
-    agg.run_started("timing", 3)
-    agg.app_started("a")
-    agg.app_started("b")
+    agg.emit(_record("run-start", kind="timing", apps=3))
+    agg.emit(_record("app-start", app="a"))
+    agg.emit(_record("app-start", app="b"))
     assert agg.progress()["active"] == ["a", "b"]
-    agg.record_retry()
-    agg.app_finished("a", "analyzed", duration_s=0.2)
-    agg.app_finished("b", "cached", duration_s=0.1)
-    agg.app_finished("c", "faulted")
+    agg.emit(_record("retry", kind="worker-lost"))
+    agg.emit(_record("app-done", app="a", status="analyzed",
+                     duration_s=0.2))
+    agg.emit(_record("app-done", app="b", status="cached", duration_s=0.1))
+    agg.emit(_record("app-done", app="c", status="faulted"))
     progress = agg.progress()
     assert progress["phase"] == "timing"
     assert progress["apps"] == {"total": 3, "done": 3, "analyzed": 1,
@@ -53,14 +59,14 @@ def test_aggregator_tracks_the_run_funnel():
     assert progress["retries"] == 1
     assert progress["latency"]["apps"] == 2
     assert progress["latency"]["max_s"] == 0.2
-    agg.run_finished()
+    agg.emit(_record("run-end"))
     assert agg.progress()["phase"] == "idle"
 
 
 def test_aggregator_explicit_phase_wins_over_kind():
     agg = LiveAggregator()
-    agg.set_phase("bench:generated:50")
-    agg.run_started("gen-timing", 50)
+    agg.emit(_record("phase", phase="bench:generated:50"))
+    agg.emit(_record("run-start", kind="gen-timing", apps=50))
     progress = agg.progress()
     assert progress["phase"] == "bench:generated:50"
     assert progress["kind"] == "gen-timing"
@@ -68,16 +74,19 @@ def test_aggregator_explicit_phase_wins_over_kind():
 
 def test_aggregator_merges_finished_snapshots():
     agg = LiveAggregator()
-    agg.run_started("timing", 2)
-    agg.app_finished("a", "analyzed", snapshot=MetricsSnapshot(
-        counters={"datalog.passes": 2},
-        gauges={"mem.app.peak_kb": 10.0},
-    ))
-    agg.app_finished("b", "analyzed", snapshot=MetricsSnapshot(
-        counters={"datalog.passes": 3},
-        gauges={"mem.app.peak_kb": 30.0},
-    ))
-    agg.run_finished(MetricsSnapshot(counters={"runner.apps.analyzed": 2}))
+    agg.emit(_record("run-start", kind="timing", apps=2))
+    agg.emit(_record("app-done", app="a", status="analyzed",
+                     obs=MetricsSnapshot(
+                         counters={"datalog.passes": 2},
+                         gauges={"mem.app.peak_kb": 10.0},
+                     )))
+    agg.emit(_record("app-done", app="b", status="analyzed",
+                     obs=MetricsSnapshot(
+                         counters={"datalog.passes": 3},
+                         gauges={"mem.app.peak_kb": 30.0},
+                     )))
+    agg.emit(_record("run-end", obs=MetricsSnapshot(
+        counters={"runner.apps.analyzed": 2})))
     snapshot = agg.snapshot()
     assert snapshot.counters["datalog.passes"] == 5
     assert snapshot.counters["runner.apps.analyzed"] == 2
@@ -92,9 +101,9 @@ def test_aggregator_merges_finished_snapshots():
 
 def test_aggregator_prometheus_is_valid_exposition():
     agg = LiveAggregator(clock=lambda: 0.0)  # pin the uptime gauge
-    agg.run_started("timing", 1)
-    agg.app_finished("a", "analyzed",
-                     snapshot=MetricsSnapshot(counters={"x.y": 1}))
+    agg.emit(_record("run-start", kind="timing", apps=1))
+    agg.emit(_record("app-done", app="a", status="analyzed",
+                     obs=MetricsSnapshot(counters={"x.y": 1})))
     text = agg.prometheus()
     assert "# TYPE nadroid_x_y_total counter" in text
     assert "nadroid_telemetry_apps_done_total 1" in text
@@ -131,8 +140,8 @@ def test_server_serves_healthz(server):
 
 
 def test_server_serves_metrics(server):
-    server.aggregator.run_started("timing", 2)
-    server.aggregator.app_finished("a", "analyzed")
+    server.aggregator.emit(_record("run-start", kind="timing", apps=2))
+    server.aggregator.emit(_record("app-done", app="a", status="analyzed"))
     status, headers, body = _get(server, "/metrics")
     assert status == 200
     assert headers["Content-Type"].startswith("text/plain; version=0.0.4")
@@ -141,7 +150,7 @@ def test_server_serves_metrics(server):
 
 
 def test_server_serves_progress_json(server):
-    server.aggregator.run_started("table1", 5)
+    server.aggregator.emit(_record("run-start", kind="table1", apps=5))
     status, headers, body = _get(server, "/progress")
     assert status == 200
     assert headers["Content-Type"].startswith("application/json")
@@ -168,7 +177,7 @@ def test_server_close_is_idempotent():
 
 def test_runner_feeds_the_aggregator():
     agg = LiveAggregator()
-    runner = CorpusRunner(jobs=1, telemetry=agg)
+    runner = CorpusRunner(jobs=1, events=RunEventLog([agg]))
     runner.run("timing", SUBSET, {})
     progress = agg.progress()
     assert progress["apps"]["total"] == len(SUBSET)
@@ -189,7 +198,8 @@ def test_runner_reports_cache_hits_to_the_aggregator(tmp_path):
 
     CorpusRunner(cache=ResultCache(tmp_path)).run("timing", SUBSET, {})
     agg = LiveAggregator()
-    warm = CorpusRunner(cache=ResultCache(tmp_path), telemetry=agg)
+    warm = CorpusRunner(cache=ResultCache(tmp_path),
+                        events=RunEventLog([agg]))
     warm.run("timing", SUBSET, {})
     progress = agg.progress()
     assert progress["apps"]["cached"] == len(SUBSET)
@@ -198,7 +208,10 @@ def test_runner_reports_cache_hits_to_the_aggregator(tmp_path):
 
 
 def _run_payloads(telemetry, jobs):
-    runner = CorpusRunner(jobs=jobs, telemetry=telemetry)
+    runner = CorpusRunner(
+        jobs=jobs,
+        events=RunEventLog([telemetry]) if telemetry is not None else None,
+    )
     payloads, _ = runner.run("table1", SUBSET, {})
     # drop the wall-clock fields (nested per-stage timings); everything
     # else is analysis output and must come out byte-identical
