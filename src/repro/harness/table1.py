@@ -96,7 +96,7 @@ def run_table1(validate: bool = True, apps: Optional[List[AppSpec]] = None,
                random_attempts: int = 40,
                config: Optional[AnalysisConfig] = None,
                runner: Optional["CorpusRunner"] = None) -> List[Table1Row]:
-    """Build every row (slow with validation; ~1 minute serially).
+    """Build every row (validation dominates: ~6 s serially on 2 vCPUs).
 
     Without a ``runner`` rows are built serially in-process and carry full
     :class:`AnalysisResult` objects.  With a :class:`repro.runner

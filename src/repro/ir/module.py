@@ -10,7 +10,7 @@ the analyses.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Set
+from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 from .cfg import ControlFlowGraph
 from .instructions import FieldRef, Instruction, MethodRef, New
@@ -132,6 +132,10 @@ class Module:
         self._method_by_uid: Dict[int, Method] = {}
         self._supertypes_cache: Dict[str, Set[str]] = {}
         self._subclasses_cache: Dict[str, Set[str]] = {}
+        #: filled only once sealed, when the hierarchy can no longer change
+        self._superclasses_cache: Dict[str, List[str]] = {}
+        self._resolve_cache: Dict[Tuple[str, str], Optional[Method]] = {}
+        self._derived: Dict[str, Dict] = {}
 
     # -- construction --------------------------------------------------------
 
@@ -166,6 +170,14 @@ class Module:
     def sealed(self) -> bool:
         return self._sealed
 
+    def derived(self, name: str) -> Dict:
+        """A named memo table for facts a client derives from the sealed
+        module (e.g. the simulator's per-class callback lists), shared by
+        everything that runs over this module."""
+        if not self._sealed:
+            raise RuntimeError("derived facts need a sealed module")
+        return self._derived.setdefault(name, {})
+
     # -- queries --------------------------------------------------------------
 
     def lookup_class(self, name: str) -> Optional[ClassDef]:
@@ -194,7 +206,12 @@ class Module:
     # -- class hierarchy -------------------------------------------------------
 
     def superclasses(self, class_name: str) -> List[str]:
-        """Proper superclass chain, nearest first.  Tolerates unknown roots."""
+        """Proper superclass chain, nearest first.  Tolerates unknown roots.
+
+        Cached once sealed; callers must not mutate the returned list."""
+        cached = self._superclasses_cache.get(class_name)
+        if cached is not None:
+            return cached
         chain: List[str] = []
         cls = self.classes.get(class_name)
         seen = {class_name}
@@ -202,6 +219,8 @@ class Module:
             chain.append(cls.super_name)
             seen.add(cls.super_name)
             cls = self.classes.get(cls.super_name)
+        if self._sealed:
+            self._superclasses_cache[class_name] = chain
         return chain
 
     def supertypes(self, class_name: str) -> Set[str]:
@@ -252,9 +271,17 @@ class Module:
         return None
 
     def resolve_method(self, class_name: str, method_name: str) -> Optional[Method]:
-        """Resolve a virtual call against the hierarchy (nearest declaration)."""
+        """Resolve a virtual call against the hierarchy (nearest declaration).
+
+        Cached once sealed."""
+        key = (class_name, method_name)
+        if key in self._resolve_cache:
+            return self._resolve_cache[key]
+        resolved = None
         for name in [class_name, *self.superclasses(class_name)]:
-            method = self.lookup_method(name, method_name)
-            if method is not None:
-                return method
-        return None
+            resolved = self.lookup_method(name, method_name)
+            if resolved is not None:
+                break
+        if self._sealed:
+            self._resolve_cache[key] = resolved
+        return resolved

@@ -22,17 +22,18 @@ from .values import default_value, ObjRef, Value
 Intrinsic = Callable  # (sim, thread, receiver, args, instr) -> Value
 
 
-class IntrinsicTable:
-    """Dispatch table keyed by (framework class, method name)."""
+#: (framework class, method name) -> intrinsic; filled once at import
+_TABLE: Dict[Tuple[str, str], Intrinsic] = {}
 
-    def __init__(self) -> None:
-        self._table: Dict[Tuple[str, str], Intrinsic] = {}
-        _register_all(self._table)
+
+class IntrinsicTable:
+    """Dispatch over the process-wide table keyed by (framework class,
+    method name)."""
 
     def lookup(self, class_name: str, method_name: str,
                module: Module) -> Optional[Intrinsic]:
         for name in [class_name, *sorted(module.supertypes(class_name))]:
-            handler = self._table.get((name, method_name))
+            handler = _TABLE.get((name, method_name))
             if handler is not None:
                 return handler
         return None
@@ -324,6 +325,9 @@ def _register_all(table: Dict[Tuple[str, str], Intrinsic]) -> None:
     @reg("StringUtils", "valueOf")
     def _value_of(sim, thread, receiver, args, instr):
         return str(args[0])
+
+
+_register_all(_TABLE)
 
 
 def default_framework_result(sim, resolved_method) -> Value:

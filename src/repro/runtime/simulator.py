@@ -17,6 +17,7 @@ match the static analysis) under an explicit schedule:
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
@@ -183,9 +184,7 @@ class Simulator:
         self.watchpoints: Set[int] = set()
         self.hit_watchpoints: Set[int] = set()
         self.intrinsics = IntrinsicTable()
-        self.interpreter = Interpreter(
-            self.module, self.heap, self.intrinsics, self.exceptions.append
-        )
+        self.interpreter = Interpreter(self.module, self.heap, self.intrinsics)
         self.threads: Dict[int, ThreadState] = {
             MAIN_THREAD: ThreadState(MAIN_THREAD, "main", is_looper=True)
         }
@@ -193,6 +192,23 @@ class Simulator:
         self.async_completions: Dict[int, ObjRef] = {}
         self.components: Dict[str, ObjRef] = {}
         self._boot()
+
+    def __deepcopy__(self, memo: Dict[int, object]) -> "Simulator":
+        """Fork the run: copy the run state and share the sealed program.
+
+        The module, manifest and intrinsic table are immutable once the
+        simulator exists, so a fork shares them.  Frames reach methods
+        directly (``Frame.method``), so every ``Method`` is shared too.
+        Everything else -- heap, world, threads and frames, exceptions,
+        trace, watchpoints -- is deep-copied, as is any field added later.
+        """
+        for shared in (self.module, self.manifest, self.intrinsics,
+                       *self.module.methods()):
+            memo[id(shared)] = shared
+        fork = Simulator.__new__(Simulator)
+        memo[id(self)] = fork
+        fork.__dict__.update(copy.deepcopy(self.__dict__, memo))
+        return fork
 
     # -- boot -------------------------------------------------------------------------
 
@@ -318,7 +334,14 @@ class Simulator:
         resolved = self.module.resolve_method(class_name, method_name)
         return resolved is not None and not is_framework_class(resolved.class_name)
 
-    def _component_ui_callbacks(self, class_name: str) -> List[str]:
+    def _component_ui_callbacks(self, class_name: str) -> Tuple[str, ...]:
+        cache = self.module.derived("simulator.ui_callbacks")
+        names = cache.get(class_name)
+        if names is None:
+            names = cache[class_name] = self._find_ui_callbacks(class_name)
+        return names
+
+    def _find_ui_callbacks(self, class_name: str) -> Tuple[str, ...]:
         names: List[str] = []
         for owner in [class_name, *self.module.superclasses(class_name)]:
             if is_framework_class(owner):
@@ -330,7 +353,7 @@ class Simulator:
                 if method_name in UI_CALLBACKS or method_name in SYSTEM_CALLBACKS:
                     if method_name not in names:
                         names.append(method_name)
-        return names
+        return tuple(names)
 
     def external_events(self) -> List[Tuple[str, ObjRef, str]]:
         """All deliverable (key, receiver, callback) external events."""

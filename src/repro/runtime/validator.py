@@ -233,7 +233,9 @@ def _systematic_search(
             ]
             if len(interesting) > 1 and explored < max_branches:
                 explored += 1
-                # fork: explore every interesting option
+                # fork: explore every interesting option (a fork copies
+                # the run state and shares the program, see
+                # Simulator.__deepcopy__)
                 for choice in interesting[1:]:
                     fork = copy.deepcopy(sim)
                     fork.apply(choice)
