@@ -1291,6 +1291,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: List[str] = None) -> int:
+    from .lang import SourceError
     from .resilience import FaultError
 
     args = build_parser().parse_args(argv)
@@ -1307,7 +1308,8 @@ def main(argv: List[str] = None) -> int:
         # fail-fast (the default): one app's fault aborted the run
         print(f"nadroid: error: {exc}", file=sys.stderr)
         return 2
-    except CliError as exc:
+    except (CliError, SourceError) as exc:
+        # a SourceError (bad MiniDroid input) reads <file>:<line>:<col>: ...
         print(f"nadroid: error: {exc}", file=sys.stderr)
         return 2
     except BrokenPipeError:

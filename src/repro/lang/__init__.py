@@ -1,4 +1,4 @@
-"""MiniDroid frontend: lexer, parser and AST.
+"""MiniDroid frontend: scanner, parser and AST.
 
 MiniDroid is the Java-like dialect in which corpus applications are
 written.  It supports classes, interfaces, single inheritance, fields with
@@ -9,12 +9,11 @@ Android code (if/else, while, early returns, throw).
 
 from . import ast
 from .errors import LexError, LoweringError, ParseError, SourceError
-from .lexer import Lexer, tokenize
+from .lexer import tokenize
 from .parser import Parser, parse_program
 
 __all__ = [
     "ast",
-    "Lexer",
     "LexError",
     "LoweringError",
     "ParseError",

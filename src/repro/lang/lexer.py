@@ -1,145 +1,115 @@
-"""Hand-written lexer for the MiniDroid dialect.
+"""Master-regex scanner for the MiniDroid dialect.
 
-Supports line (``//``) and block (``/* */``) comments, decimal integers,
-double-quoted strings with the common escapes, identifiers and the keyword
-and punctuation tables in :mod:`repro.lang.tokens`.
+Supports line (``//``) and block (``/* */``) comments, decimal integers
+with an optional ``L`` suffix, double-quoted strings with the common
+escapes, identifiers and the keyword and punctuation tables in
+:mod:`repro.lang.tokens`.  One compiled alternation matches every token
+and every run of trivia; :func:`_lex_error` runs only where nothing
+matches and names the problem at the position a reader would look.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, List
+import re
+from typing import List
 
 from .errors import LexError
 from .tokens import KEYWORDS, PUNCTUATION, Token, TokenType
 
 _ESCAPES = {"n": "\n", "t": "\t", '"': '"', "\\": "\\", "r": "\r", "0": "\0"}
+_ESCAPE = re.compile(r'\\(["\\ntr0])')
+_PUNCT_TYPES = dict(PUNCTUATION)
 
-
-class Lexer:
-    """Tokenize one MiniDroid source string."""
-
-    def __init__(self, source: str, filename: str = "<source>") -> None:
-        self.source = source
-        self.filename = filename
-        self.pos = 0
-        self.line = 1
-        self.column = 1
-
-    # -- character helpers ----------------------------------------------------
-
-    def _peek(self, offset: int = 0) -> str:
-        index = self.pos + offset
-        return self.source[index] if index < len(self.source) else ""
-
-    def _advance(self, count: int = 1) -> None:
-        for _ in range(count):
-            if self.pos < len(self.source):
-                if self.source[self.pos] == "\n":
-                    self.line += 1
-                    self.column = 1
-                else:
-                    self.column += 1
-                self.pos += 1
-
-    def _error(self, message: str) -> LexError:
-        return LexError(message, self.line, self.column, self.filename)
-
-    # -- skipping ----------------------------------------------------------------
-
-    def _skip_trivia(self) -> None:
-        while True:
-            ch = self._peek()
-            if ch and ch in " \t\r\n":
-                self._advance()
-            elif ch == "/" and self._peek(1) == "/":
-                while self._peek() and self._peek() != "\n":
-                    self._advance()
-            elif ch == "/" and self._peek(1) == "*":
-                start_line, start_col = self.line, self.column
-                self._advance(2)
-                while not (self._peek() == "*" and self._peek(1) == "/"):
-                    if not self._peek():
-                        raise LexError(
-                            "unterminated block comment",
-                            start_line, start_col, self.filename,
-                        )
-                    self._advance()
-                self._advance(2)
-            else:
-                return
-
-    # -- token producers -----------------------------------------------------------
-
-    def _lex_string(self) -> Token:
-        line, column = self.line, self.column
-        self._advance()  # opening quote
-        chars: List[str] = []
-        while True:
-            ch = self._peek()
-            if not ch or ch == "\n":
-                raise LexError("unterminated string literal", line, column, self.filename)
-            if ch == '"':
-                self._advance()
-                return Token(TokenType.STRING_LITERAL, "".join(chars), line, column)
-            if ch == "\\":
-                esc = self._peek(1)
-                if esc not in _ESCAPES:
-                    raise self._error(f"unknown escape sequence \\{esc}")
-                chars.append(_ESCAPES[esc])
-                self._advance(2)
-            else:
-                chars.append(ch)
-                self._advance()
-
-    def _lex_number(self) -> Token:
-        line, column = self.line, self.column
-        digits: List[str] = []
-        while self._peek().isdigit():
-            digits.append(self._peek())
-            self._advance()
-        if self._peek().isalpha() and self._peek() not in "lL":
-            raise self._error(f"malformed number near {''.join(digits)!r}")
-        if self._peek() and self._peek() in "lL":  # long suffix, value kept as int
-            self._advance()
-        return Token(TokenType.INT_LITERAL, int("".join(digits)), line, column)
-
-    def _lex_word(self) -> Token:
-        line, column = self.line, self.column
-        chars: List[str] = []
-        while self._peek() and (self._peek().isalnum() or self._peek() in "_$"):
-            chars.append(self._peek())
-            self._advance()
-        word = "".join(chars)
-        ttype = KEYWORDS.get(word, TokenType.IDENT)
-        return Token(ttype, word, line, column)
-
-    def _lex_punct(self) -> Token:
-        line, column = self.line, self.column
-        for text, ttype in PUNCTUATION:
-            if self.source.startswith(text, self.pos):
-                self._advance(len(text))
-                return Token(ttype, text, line, column)
-        raise self._error(f"unexpected character {self._peek()!r}")
-
-    # -- public API ----------------------------------------------------------------
-
-    def tokens(self) -> Iterator[Token]:
-        while True:
-            self._skip_trivia()
-            ch = self._peek()
-            if not ch:
-                yield Token(TokenType.EOF, "", self.line, self.column)
-                return
-            if ch == '"':
-                yield self._lex_string()
-            elif ch.isdigit():
-                yield self._lex_number()
-            elif ch.isalpha() or ch in "_$":
-                yield self._lex_word()
-            else:
-                yield self._lex_punct()
+# ``\w`` is exactly ``str.isalnum()`` plus ``_`` and ``\d`` exactly
+# ``str.isdecimal()``, so words keep the Unicode alphabet of Java-style
+# identifiers.  A word may still start with a non-decimal numeric such as
+# ``½``; tokenize() rejects those, because a word starts with a letter.
+# PUNCT refuses ``/*`` so that an unterminated block comment reaches
+# _lex_error instead of lexing as SLASH STAR.
+_TOKEN = re.compile(
+    r"""
+      (?P<TRIVIA> [ \t\r\n]+ | //[^\n]* | /\*.*?\*/ )
+    | (?P<STRING> "[^"\\\n]*(?:\\["\\ntr0][^"\\\n]*)*" )
+    | (?P<INT> \d+ ) (?: [lL] | (?![^\W_]) )
+    | (?P<WORD> (?:[^\W\d]|\$) [\w$]* )
+    | (?P<PUNCT> (?!/\*) (?:"""
+    + "|".join(re.escape(text) for text, _ in PUNCTUATION)
+    + "))",
+    re.VERBOSE | re.DOTALL,
+)
 
 
 def tokenize(source: str, filename: str = "<source>") -> List[Token]:
     """Tokenize a source string into a list ending with an EOF token."""
-    return list(Lexer(source, filename).tokens())
+    tokens: List[Token] = []
+    append = tokens.append
+    pos = line_start = 0
+    line = 1
+    for m in _TOKEN.finditer(source):
+        start, end = m.span()
+        if start != pos:
+            break
+        kind = m.lastgroup
+        if kind == "TRIVIA":
+            newlines = source.count("\n", start, end)
+            if newlines:
+                line += newlines
+                line_start = source.rindex("\n", start, end) + 1
+        elif kind == "WORD":
+            word = m.group()
+            if not (word[0].isalpha() or word[0] in "_$"):
+                break
+            append(Token(KEYWORDS.get(word, TokenType.IDENT), word,
+                         line, start - line_start + 1))
+        elif kind == "PUNCT":
+            text = m.group()
+            append(Token(_PUNCT_TYPES[text], text,
+                         line, start - line_start + 1))
+        elif kind == "INT":
+            append(Token(TokenType.INT_LITERAL, int(m.group(kind)),
+                         line, start - line_start + 1))
+        else:  # STRING
+            body = source[start + 1:end - 1]
+            if "\\" in body:
+                body = _ESCAPE.sub(lambda e: _ESCAPES[e[1]], body)
+            append(Token(TokenType.STRING_LITERAL, body,
+                         line, start - line_start + 1))
+        pos = end
+    if pos < len(source):
+        raise _lex_error(source, pos, line, line_start, filename)
+    append(Token(TokenType.EOF, "", line, pos - line_start + 1))
+    return tokens
+
+
+def _lex_error(source: str, pos: int, line: int, line_start: int,
+               filename: str) -> LexError:
+    """Diagnose the text at ``pos``, where no token matches.  No token
+    spans a line, so every error lies on the line of ``pos``."""
+
+    def error(index: int, message: str) -> LexError:
+        return LexError(message, line, index - line_start + 1, filename)
+
+    if source.startswith("/*", pos):
+        return error(pos, "unterminated block comment")
+    if source[pos] == '"':
+        index = pos + 1
+        while index < len(source) and source[index] not in '"\n':
+            if source[index] == "\\":
+                escape = source[index + 1:index + 2]
+                if escape not in _ESCAPES:
+                    return error(index, f"unknown escape sequence \\{escape}")
+                index += 1
+            index += 1
+        return error(pos, "unterminated string literal")
+    if source[pos].isdigit():
+        end = pos
+        while end < len(source) and source[end].isdigit():
+            end += 1
+        digits = source[pos:end]
+        if source[end:end + 1].isalpha() and source[end] not in "lL":
+            return error(end, f"malformed number near {digits!r}")
+        decimal = re.match(r"\d*", digits).end()
+        if decimal < len(digits):  # a digit such as '²' is not a decimal one
+            return error(pos + decimal, f"malformed number near {digits!r}")
+        pos = end
+    return error(pos, f"unexpected character {source[pos]!r}")

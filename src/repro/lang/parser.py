@@ -43,6 +43,16 @@ _MODIFIERS = {
     TokenType.FINAL,
 }
 
+#: Binding strength of each binary operator, loosest first.
+_BINARY_PRECEDENCE = {
+    TokenType.OR: 1,
+    TokenType.AND: 2,
+    TokenType.EQ: 3, TokenType.NE: 3,
+    TokenType.LT: 4, TokenType.LE: 4, TokenType.GT: 4, TokenType.GE: 4,
+    TokenType.PLUS: 5, TokenType.MINUS: 5,
+    TokenType.STAR: 6, TokenType.SLASH: 6, TokenType.PERCENT: 6,
+}
+
 #: Hard bound on statement/expression nesting.  The parser is recursive
 #: descent, so without a limit a pathological input (thousands of nested
 #: parentheses, unary chains, or blocks) escalates into Python's
@@ -356,7 +366,7 @@ class Parser:
         return self._parse_assignment()
 
     def _parse_assignment(self) -> ast.Expr:
-        lhs = self._parse_or()
+        lhs = self._parse_binary()
         if self._at(TokenType.ASSIGN):
             token = self._advance()
             if not isinstance(lhs, (ast.Name, ast.FieldAccess)):
@@ -368,40 +378,20 @@ class Parser:
             return ast.Assignment(lhs, rhs, line=token.line)
         return lhs
 
-    def _parse_binary_level(self, sub, ops) -> ast.Expr:
-        lhs = sub()
-        while self._peek().type in ops:
-            token = self._advance()
-            rhs = sub()
+    def _parse_binary(self, min_prec: int = 1) -> ast.Expr:
+        """Precedence climbing over :data:`_BINARY_PRECEDENCE`: every
+        operator binds at least as tightly as ``min_prec``, and parsing
+        the right operand one level higher makes each level
+        left-associative."""
+        lhs = self._parse_unary()
+        while True:
+            token = self._peek()
+            prec = _BINARY_PRECEDENCE.get(token.type, 0)
+            if prec < min_prec:
+                return lhs
+            self._advance()
+            rhs = self._parse_binary(prec + 1)
             lhs = ast.Binary(str(token.value), lhs, rhs, line=token.line)
-        return lhs
-
-    def _parse_or(self) -> ast.Expr:
-        return self._parse_binary_level(self._parse_and, {TokenType.OR})
-
-    def _parse_and(self) -> ast.Expr:
-        return self._parse_binary_level(self._parse_equality, {TokenType.AND})
-
-    def _parse_equality(self) -> ast.Expr:
-        return self._parse_binary_level(
-            self._parse_relational, {TokenType.EQ, TokenType.NE}
-        )
-
-    def _parse_relational(self) -> ast.Expr:
-        return self._parse_binary_level(
-            self._parse_additive,
-            {TokenType.LT, TokenType.LE, TokenType.GT, TokenType.GE},
-        )
-
-    def _parse_additive(self) -> ast.Expr:
-        return self._parse_binary_level(
-            self._parse_multiplicative, {TokenType.PLUS, TokenType.MINUS}
-        )
-
-    def _parse_multiplicative(self) -> ast.Expr:
-        return self._parse_binary_level(
-            self._parse_unary, {TokenType.STAR, TokenType.SLASH, TokenType.PERCENT}
-        )
 
     def _parse_unary(self) -> ast.Expr:
         # Every expression-level recursion cycle (parenthesized primary,
@@ -496,11 +486,12 @@ def _nesting_headroom() -> Iterator[None]:
     """Guarantee the parser's own depth guard fires before the
     interpreter's.
 
-    One level of MiniDroid nesting costs ~15 interpreter frames (the
-    expression-grammar cascade), so ``MAX_NESTING_DEPTH`` levels plus a
-    deep caller stack (pytest, the worker pool) can reach the default
-    recursion limit before ``_enter_nesting`` trips -- surfacing as a
-    ``RecursionError`` instead of the clean :class:`ParseError`.  Raise
+    One level of MiniDroid nesting costs up to 12 interpreter frames (a
+    parenthesized operand behind one operator of each precedence level;
+    plain parentheses cost 6, a block 3), so ``MAX_NESTING_DEPTH`` levels
+    plus a deep caller stack (pytest, the worker pool) can reach the
+    default recursion limit before ``_enter_nesting`` trips -- surfacing
+    as a ``RecursionError`` instead of the clean :class:`ParseError`.  Raise
     the interpreter limit for the duration of the parse so the depth
     guard is always the binding constraint.
     """

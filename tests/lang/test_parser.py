@@ -199,3 +199,38 @@ def test_reasonable_nesting_still_parses():
         + ")" * depth + "; } }"
     cls = parse_one(source)
     assert cls.method_decls()[0].name == "m"
+
+
+def bracket(expr):
+    """Render an expression with every operator application bracketed."""
+    if isinstance(expr, ast.Binary):
+        return f"({bracket(expr.lhs)} {expr.op} {bracket(expr.rhs)})"
+    if isinstance(expr, ast.Assignment):
+        return f"({bracket(expr.target)} = {bracket(expr.value)})"
+    if isinstance(expr, ast.Unary):
+        return f"({expr.op}{bracket(expr.operand)})"
+    if isinstance(expr, ast.Name):
+        return expr.ident
+    return str(expr.value)
+
+
+@pytest.mark.parametrize("source,expected", [
+    ("1 - 2 - 3", "((1 - 2) - 3)"),
+    ("1 + 2 - 3", "((1 + 2) - 3)"),
+    ("8 / 4 / 2", "((8 / 4) / 2)"),
+    ("8 % 3 * 2", "((8 % 3) * 2)"),
+    ("a < b <= c", "((a < b) <= c)"),
+    ("a == b != c", "((a == b) != c)"),
+    ("a && b && c", "((a && b) && c)"),
+    ("a || b || c", "((a || b) || c)"),
+    ("a || b && c == d < e + f * g",
+     "(a || (b && (c == (d < (e + (f * g))))))"),
+    ("a * b + c < d == e && f || g",
+     "((((((a * b) + c) < d) == e) && f) || g)"),
+    ("-a - -b * !c", "((-a) - ((-b) * (!c)))"),
+    ("x = y = 1 + 2", "(x = (y = (1 + 2)))"),
+])
+def test_binary_operators_associate_left_and_assignment_right(source, expected):
+    cls = parse_one("class A { void m() { " + source + "; } }")
+    stmt = cls.method_decls()[0].body.statements[0]
+    assert bracket(stmt.expr) == expected

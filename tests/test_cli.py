@@ -79,6 +79,25 @@ def test_simulate_missing_file_exits_2(capsys):
     assert "cannot read" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("source,diagnostic", [
+    ('class A { String s = "oops; }',
+     "1:22: unterminated string literal"),
+    ("class A { void f() { x = ; } }",
+     "1:26: unexpected token ';' in expression"),
+    ("class A { void f() { undefinedVar = 1; } }",
+     "1:0: in A.f: unresolved assignment target 'undefinedVar'"),
+])
+@pytest.mark.parametrize("command", ["analyze", "explain", "simulate", "nosleep"])
+def test_bad_source_exits_2_with_one_located_line(tmp_path, capsys, command,
+                                                  source, diagnostic):
+    path = tmp_path / "bad.mjava"
+    path.write_text(source)
+    code = main([command, str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.splitlines() == [f"nadroid: error: {path}:{diagnostic}"]
+
+
 def test_corpus_subset_serial_and_parallel_stdout_identical(capsys):
     args = ["corpus", "--apps", "todolist", "swiftnotes", "clipstack",
             "--no-cache"]
