@@ -374,7 +374,13 @@ class Parser:
                     "left-hand side of '=' must be a variable or field",
                     token.line, token.column, self.filename,
                 )
-            rhs = self._parse_assignment()
+            # the right-hand side recurses here, past _parse_unary's
+            # guard, so each link of a chain counts one level
+            self._enter_nesting()
+            try:
+                rhs = self._parse_assignment()
+            finally:
+                self._depth -= 1
             return ast.Assignment(lhs, rhs, line=token.line)
         return lhs
 
@@ -394,9 +400,8 @@ class Parser:
             lhs = ast.Binary(str(token.value), lhs, rhs, line=token.line)
 
     def _parse_unary(self) -> ast.Expr:
-        # Every expression-level recursion cycle (parenthesized primary,
-        # assignment rhs, unary chain) passes through here exactly once,
-        # so this is the single choke point for the expression depth guard.
+        # Every parenthesized primary and unary chain passes through here
+        # exactly once; assignment chains count in _parse_assignment.
         self._enter_nesting()
         try:
             token = self._peek()

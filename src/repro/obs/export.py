@@ -423,8 +423,12 @@ def trace_from_events(records: Iterable[Dict[str, Any]]) -> Dict[str, Any]:
         if event == "app-done":
             start = starts.pop(str(app), t)
             duration = record.get("duration_s")
-            end = max(t, start + float(duration)) \
-                if duration is not None else t
+            if duration is None or record.get("status") == "cached":
+                # a cache hit's duration_s is the replayed build time,
+                # not this run's: its lane ends at the app-done stamp
+                end = t
+            else:
+                end = max(t, start + float(duration))
             trace_events.append({
                 "ph": "X", "name": str(app), "pid": 1, "tid": tid,
                 "ts": _us(start), "dur": _us(end - start),

@@ -7,8 +7,8 @@ package provides the pieces the runner threads through the pipeline:
   classification of raw exceptions into JSON-safe fault records;
 * :mod:`~repro.resilience.deadline` -- cooperative per-app deadlines for
   the in-process path;
-* :mod:`~repro.resilience.pool` -- the killable process-per-task pool
-  with watchdog timeouts and transient-fault retries;
+* :mod:`~repro.resilience.pool` -- the pool of killable long-lived
+  workers with watchdog timeouts and transient-fault retries;
 * :mod:`~repro.resilience.faultinject` -- the deterministic fault
   injection harness that tests all of the above.
 

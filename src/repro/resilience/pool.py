@@ -1,31 +1,37 @@
-"""Fault-isolating task pool: one killable process per pending app.
+"""Fault-isolating task pool: long-lived forked workers, one per job slot.
 
-The previous runner pushed every pending app through one
+The first runner pushed every pending app through one
 ``ProcessPoolExecutor`` and called ``future.result()`` bare -- a single
 parse error, ``RecursionError`` or OOM-killed worker
 (``BrokenProcessPool``) aborted the whole run and threw away every other
-app's result.  This pool restores per-app blast radius:
+app's result.  This pool keeps per-app blast radius:
 
-* each task runs in its **own** ``multiprocessing.Process`` (bounded to
-  ``jobs`` concurrent), so a dying worker loses exactly one app;
+* each run forks at most ``jobs`` workers, once ``params`` is known, so
+  sources reach them by fork and are never pickled; each worker loops
+  over app names sent down its ``Pipe`` and exits when the run ends;
+* a worker that dies mid-task (kill injection, OOM, segfault) surfaces
+  as EOF on its pipe and loses exactly the app it was running, which
+  classifies as :class:`WorkerLostFault`; a replacement is forked while
+  work remains;
 * a **watchdog** enforces the per-app deadline by ``terminate()``-ing
-  the overrunning process and recording a canonical
-  :class:`~repro.resilience.errors.TimeoutFault`;
+  the overrunning worker, recording a canonical
+  :class:`~repro.resilience.errors.TimeoutFault` and forking a
+  replacement;
 * **transient** faults (worker lost) are re-submitted up to
   ``max_retries`` times; deterministic faults (parse/analysis crashes,
   timeouts) never are;
 * under ``keep_going`` every fault becomes an error envelope
   ``{"error": {...}}`` and the remaining apps complete; otherwise the
   first final fault aborts the run with a one-line actionable
-  :class:`~repro.resilience.errors.FaultError`.
+  :class:`~repro.resilience.errors.FaultError`, and every worker, idle
+  or busy, is terminated and reaped.
 
-Results travel over a per-task ``Pipe``; a child that dies before
-sending (kill injection, OOM, segfault) surfaces as EOF on that pipe and
-classifies as :class:`WorkerLostFault`.  The serial path
-(:func:`run_serial`) implements the same contract in-process, with the
-cooperative deadline of :mod:`repro.resilience.deadline` standing in for
-the watchdog, so ``--jobs 1`` and ``--jobs N`` produce byte-identical
-fault records.
+The serial path (:func:`run_serial`) implements the same contract
+in-process, with the cooperative deadline of
+:mod:`repro.resilience.deadline` standing in for the watchdog, so
+``--jobs 1`` and ``--jobs N`` produce byte-identical fault records.
+Both run many apps in one process, so per-process tables (the intrinsic
+table, sealed-module memos) warm up once per worker, not once per app.
 """
 
 from __future__ import annotations
@@ -35,7 +41,7 @@ import time
 from collections import deque
 from dataclasses import dataclass
 from multiprocessing.connection import wait as connection_wait
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from .deadline import deadline_scope
 from .errors import (
@@ -67,7 +73,7 @@ class FaultPolicy:
 
 
 #: optional pool observer: called as ``observer(event, name, payload)``
-#: with events ``"start"`` (first attempt spawned, payload ``None``),
+#: with events ``"start"`` (first attempt dispatched, payload ``None``),
 #: ``"retry"`` (transient fault re-submitted, payload the fault),
 #: ``"fault"`` (final fault recorded under keep-going, payload the
 #: fault) and ``"ok"`` (payload the success envelope).  Fail-fast
@@ -157,9 +163,10 @@ def run_serial(
 # -- parallel path -----------------------------------------------------------
 
 
-def _child_main(conn, kind: str, name: str, params: Dict[str, Any]) -> None:
-    """Worker entry point: run one task, send ``("ok", envelope)`` or a
-    pre-classified ``("error", fault_dict)`` back over the pipe.
+def _worker_main(conn, kind: str, params: Dict[str, Any]) -> None:
+    """Worker loop: receive an app name, run its task, send back
+    ``("ok", envelope)`` or a pre-classified ``("error", fault_dict)``,
+    and wait for the next name; ``None`` ends the loop.
 
     An injected ``kill`` (or a real OOM) exits without sending anything;
     the parent reads EOF and classifies the loss itself.
@@ -168,20 +175,27 @@ def _child_main(conn, kind: str, name: str, params: Dict[str, Any]) -> None:
     from ..runner.runner import execute_app_task_observed
 
     try:
-        envelope = execute_app_task_observed(kind, name, params)
-        conn.send(("ok", envelope))
-    except KeyboardInterrupt:
+        while True:
+            name = conn.recv()
+            if name is None:
+                return
+            try:
+                envelope = execute_app_task_observed(kind, name, params)
+                conn.send(("ok", envelope))
+            except Exception as exc:
+                from . import current_stage
+
+                fault = fault_from_exception(exc, name,
+                                             stage=current_stage())
+                conn.send(("error", fault.to_dict()))
+    except (KeyboardInterrupt, EOFError):
         # A terminal Ctrl-C delivers SIGINT to the whole process group,
         # so every worker gets one alongside the parent.  Exit quietly
         # -- the parent is aborting anyway and classifies the EOF as a
         # lost worker; re-raising would spray one multiprocessing
-        # traceback per live worker over the user's terminal.
+        # traceback per live worker over the user's terminal.  EOF
+        # means the parent itself is gone.
         pass
-    except Exception as exc:
-        from . import current_stage
-
-        fault = fault_from_exception(exc, name, stage=current_stage())
-        conn.send(("error", fault.to_dict()))
     finally:
         conn.close()
 
@@ -193,19 +207,30 @@ def _pool_context():
         return multiprocessing.get_context()
 
 
-class _Active:
-    """Bookkeeping for one running worker."""
+class _Worker:
+    """One long-lived worker process and the task it is running."""
 
-    __slots__ = ("proc", "conn", "deadline_at", "attempt")
+    __slots__ = ("proc", "conn", "name", "attempt", "deadline_at")
 
-    def __init__(self, proc, conn, deadline_at: Optional[float],
-                 attempt: int) -> None:
+    def __init__(self, proc, conn) -> None:
         self.proc = proc
         self.conn = conn
-        self.deadline_at = deadline_at
-        self.attempt = attempt
+        #: the app in flight, ``None`` while idle
+        self.name: Optional[str] = None
+        self.attempt = 0
+        #: when the app in flight overruns (set only under a timeout)
+        self.deadline_at = 0.0
 
-    def reap(self) -> None:
+    def stop(self, terminate: bool) -> None:
+        """Terminate the worker (busy, overrunning or aborted) or ask an
+        idle one to exit, then reap it."""
+        if terminate:
+            self.proc.terminate()
+        else:
+            try:
+                self.conn.send(None)
+            except OSError:  # already dead; join reaps it
+                pass
         self.conn.close()
         self.proc.join()
 
@@ -218,83 +243,86 @@ def run_parallel(
     policy: FaultPolicy,
     observer: Optional[Observer] = None,
 ) -> PoolOutcome:
-    """Fan tasks out, one killable process each, at most ``jobs`` live."""
+    """Run tasks on at most ``jobs`` long-lived forked workers."""
     ctx = _pool_context()
     outcome = PoolOutcome(envelopes={}, faults={})
     queue = deque((name, 1) for name in names)
-    active: Dict[str, _Active] = {}
+    workers: List[_Worker] = []
 
-    def spawn(name: str, attempt: int) -> None:
-        if attempt == 1 and observer is not None:
-            observer("start", name, None)
-        parent_conn, child_conn = ctx.Pipe(duplex=False)
+    def fork() -> _Worker:
+        parent_conn, child_conn = ctx.Pipe()
         proc = ctx.Process(
-            target=_child_main, args=(child_conn, kind, name, params)
+            target=_worker_main, args=(child_conn, kind, params)
         )
         proc.start()
         child_conn.close()
-        deadline_at = (
-            time.monotonic() + policy.timeout
-            if policy.timeout is not None else None
-        )
-        active[name] = _Active(proc, parent_conn, deadline_at, attempt)
+        workers.append(_Worker(proc, parent_conn))
+        return workers[-1]
 
-    def abort_all() -> None:
-        for entry in active.values():
-            entry.proc.terminate()
-            entry.reap()
-        active.clear()
+    def dispatch(worker: _Worker) -> None:
+        name, attempt = queue.popleft()
+        if attempt == 1 and observer is not None:
+            observer("start", name, None)
+        worker.name, worker.attempt = name, attempt
+        if policy.timeout is not None:
+            worker.deadline_at = time.monotonic() + policy.timeout
+        try:
+            worker.conn.send(name)
+        except OSError:
+            pass  # died while idle: the wait reads EOF, a lost worker
 
     def settle(name: str, fault: Fault, attempt: int) -> None:
-        try:
-            if _finalize(name, fault, attempt, policy, outcome, observer):
-                queue.append((name, attempt + 1))
-        except FaultError:
-            abort_all()
-            raise
+        if _finalize(name, fault, attempt, policy, outcome, observer):
+            queue.append((name, attempt + 1))
+
+    def retire(worker: _Worker, fault: Fault) -> None:
+        """Drop a lost or overrunning worker and settle its app; the
+        loop forks a replacement while work remains."""
+        workers.remove(worker)
+        worker.stop(terminate=True)
+        settle(worker.name, fault, worker.attempt)
 
     try:
-        while queue or active:
-            while queue and len(active) < jobs:
-                spawn(*queue.popleft())
-            by_conn = {entry.conn: name for name, entry in active.items()}
+        while True:
+            for worker in workers:
+                if worker.name is None and queue:
+                    dispatch(worker)
+            while queue and len(workers) < jobs:
+                dispatch(fork())
+            busy = {w.conn: w for w in workers if w.name is not None}
+            if not busy:
+                break
             wait_timeout = None
-            now = time.monotonic()
-            deadlines = [
-                entry.deadline_at for entry in active.values()
-                if entry.deadline_at is not None
-            ]
-            if deadlines:
-                wait_timeout = max(0.0, min(deadlines) - now)
-            ready = connection_wait(list(by_conn), timeout=wait_timeout)
-            for conn in ready:
-                name = by_conn[conn]
-                entry = active.pop(name)
+            if policy.timeout is not None:
+                wait_timeout = max(0.0, min(
+                    w.deadline_at for w in busy.values()
+                ) - time.monotonic())
+            for conn in connection_wait(list(busy), timeout=wait_timeout):
+                worker = busy[conn]
                 try:
                     status, payload = conn.recv()
                 except (EOFError, OSError):
-                    status, payload = "lost", None
-                entry.reap()
+                    retire(worker, worker_lost_fault(worker.name))
+                    continue
+                name, worker.name = worker.name, None
                 if status == "ok":
                     outcome.envelopes[name] = payload
                     if observer is not None:
                         observer("ok", name, payload)
-                elif status == "error":
-                    settle(name, fault_from_dict(payload), entry.attempt)
                 else:
-                    settle(name, worker_lost_fault(name), entry.attempt)
-            now = time.monotonic()
-            for name in list(active):
-                entry = active[name]
-                if entry.deadline_at is not None and now >= entry.deadline_at:
-                    del active[name]
-                    entry.proc.terminate()
-                    entry.reap()
-                    settle(name, timeout_fault(name, policy.timeout),
-                           entry.attempt)
+                    settle(name, fault_from_dict(payload), worker.attempt)
+            if policy.timeout is not None:
+                now = time.monotonic()
+                for worker in [w for w in workers if w.name is not None
+                               and now >= w.deadline_at]:
+                    retire(worker, timeout_fault(worker.name,
+                                                 policy.timeout))
     except BaseException:
-        abort_all()
+        for worker in workers:
+            worker.stop(terminate=True)
         raise
+    for worker in workers:
+        worker.stop(terminate=False)
     return outcome
 
 

@@ -2,8 +2,8 @@
 
 The corpus drivers (Table 1, Figure 5, Tables 2/3, the timing study) all
 reduce to *one independent analysis per app* followed by aggregation, so
-they share this runner: a process-per-task fan-out over apps (the
-fault-isolating pool of :mod:`repro.resilience.pool`) with a
+they share this runner: a fan-out over apps on long-lived forked workers
+(the fault-isolating pool of :mod:`repro.resilience.pool`) with a
 content-addressed on-disk result cache in front (see
 :mod:`repro.runner.cache`).
 

@@ -12,7 +12,7 @@ into the same artifacts.  This module is that seam:
   policy.  Specs are plain data; they serialize to/from the JSON the
   service API accepts.
 * :func:`execute_job` -- run a spec on a :class:`~repro.runner
-  .CorpusRunner` (the existing process-per-task pool + content-addressed
+  .CorpusRunner` (the existing worker pool + content-addressed
   cache) and assemble a :class:`JobResult`.
 * :class:`JobResult` -- the job's report (byte-identical to the
   ``repro analyze --report-out`` artifact for single-app specs), SARIF,
@@ -220,7 +220,7 @@ def execute_job(spec: JobSpec, runner) -> JobResult:
     """Run one job on a :class:`~repro.runner.CorpusRunner`.
 
     The runner provides everything the daemon needs per job: the
-    process-per-task pool (``jobs`` fan-out within the job), the
+    worker pool (``jobs`` fan-out within the job), the
     content-addressed cache (cross-job warm path), fault isolation under
     the spec's policy, and per-app metrics snapshots for the report.
     """

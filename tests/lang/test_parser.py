@@ -193,6 +193,18 @@ def test_pathological_statement_nesting_is_a_parse_error():
         parse_program(source)
 
 
+def test_assignment_chain_is_a_parse_error():
+    # The right-hand side of '=' recurses past _parse_unary's guard, so
+    # a long chain must stop at the parser's limit, not the interpreter's.
+    source = "class A { void f() { int x; x = " + "x = " * 24_999 \
+        + "1; } }"
+    with pytest.raises(ParseError,
+                       match="nesting depth exceeds the MiniDroid limit "
+                             "of 64") as excinfo:
+        parse_program(source)
+    assert (excinfo.value.line, excinfo.value.column) == (1, 281)
+
+
 def test_reasonable_nesting_still_parses():
     depth = 40
     source = "class A { void m() { int x = " + "(" * depth + "1" \

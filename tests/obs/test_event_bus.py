@@ -56,6 +56,24 @@ def test_app_records_are_stamped_when_published():
     assert all(e["ts"] + e["dur"] <= run_end for e in lanes)
 
 
+def test_warm_run_lanes_end_with_the_run(tmp_path):
+    """A cache hit's ``duration_s`` is the replayed build time; its lane
+    must still end at its ``app-done`` stamp, inside the warm run."""
+    records = _ordered_run({"jobs": 2,
+                            "cache": ResultCache(tmp_path / "cache")},
+                           runs=2)
+    second = max(i for i, r in enumerate(records)
+                 if r["event"] == "run-start")
+    warm = records[second:]
+    assert {r["status"] for r in warm if r["event"] == "app-done"} \
+        == {"cached"}
+    trace = trace_from_events(warm)["traceEvents"]
+    run_end = next(e["ts"] for e in trace if e["name"] == "run-end")
+    lanes = [e for e in trace if e["ph"] == "X"]
+    assert len(lanes) == len(APPS)
+    assert all(e["ts"] + e["dur"] <= run_end for e in lanes)
+
+
 @pytest.fixture()
 def raise_env(monkeypatch):
     plan = FaultPlan(faults=(

@@ -98,6 +98,19 @@ def test_bad_source_exits_2_with_one_located_line(tmp_path, capsys, command,
     assert captured.err.splitlines() == [f"nadroid: error: {path}:{diagnostic}"]
 
 
+def test_assignment_chain_exits_2_with_one_located_line(tmp_path, capsys):
+    path = tmp_path / "chain.mjava"
+    path.write_text("class A { void f() { int x; x = " + "x = " * 24_999
+                    + "1; } }")
+    code = main(["analyze", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.splitlines() == [
+        f"nadroid: error: {path}:1:281: nesting depth exceeds the "
+        f"MiniDroid limit of 64"
+    ]
+
+
 def test_corpus_subset_serial_and_parallel_stdout_identical(capsys):
     args = ["corpus", "--apps", "todolist", "swiftnotes", "clipstack",
             "--no-cache"]
