@@ -10,22 +10,22 @@ see.
 
 import pytest
 
-from repro.harness import (
-    nadroid_only_true_uafs,
-    render_table3,
-    run_table3,
-    summarize_table3,
-)
+from repro.harness import render_table3, run_table3, summarize_table3
 
 
 @pytest.fixture(scope="module")
-def rows():
+def data():
     return run_table3()
+
+
+@pytest.fixture(scope="module")
+def rows(data):
+    return data.rows
 
 
 def test_benchmark_table3(benchmark):
     result = benchmark(run_table3)
-    assert result
+    assert result.rows
 
 
 def test_nadroid_detects_all_but_fragment(rows):
@@ -52,15 +52,15 @@ def test_ondestroy_rows_filtered_by_mhb(rows):
         assert "MHB" in row.filtered_by
 
 
-def test_deva_misses_nadroid_true_uafs(rows):
-    missed = nadroid_only_true_uafs()
+def test_deva_misses_nadroid_true_uafs(data):
+    missed = data.deva_missed
     # paper section 8.7: DEvA misses the Figure 1 bugs (cross-class /
     # cross-thread); at minimum ConnectBot and FireFox
     assert {"connectbot", "firefox"} <= set(missed)
     assert sum(missed.values()) >= 10
 
 
-def test_table3_report(rows, capsys):
+def test_table3_report(data, capsys):
     with capsys.disabled():
         print()
-        print(render_table3(rows))
+        print(render_table3(data))

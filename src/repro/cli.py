@@ -651,10 +651,10 @@ def cmd_table3(args: argparse.Namespace) -> int:
     from .harness import render_table3, run_table3
 
     runner = _make_runner(args)
-    rows = run_table3(runner=runner)
+    data = run_table3(runner=runner)
     _report_stats(runner)
     _emit_observability(args, runner)
-    print(render_table3(rows, runner=runner))
+    print(render_table3(data))
     return _report_faults(runner)
 
 

@@ -18,7 +18,9 @@ after_sound -> remaining) land on whatever recorder the caller installed.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import (
+    Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union,
+)
 
 from . import obs
 from .analysis.lockset import LocksetAnalysis
@@ -47,8 +49,46 @@ class AnalysisConfig:
     collect_individual_filter_stats: bool = True
 
 
+class Table1View:
+    """The Table 1 style accessors, shared by :class:`AnalysisResult` and
+    its serializable view :class:`repro.runner.ResultData`.
+
+    Subclasses carry ``warnings`` (with filter verdicts), the filter
+    ``report`` and the EC/PC/T ``model_counts``.
+    """
+
+    warnings: List[UafWarning]
+    report: FilterReport
+    model_counts: Dict[str, int]
+
+    @property
+    def potential(self) -> List[UafWarning]:
+        return self.warnings
+
+    def after_sound(self) -> List[UafWarning]:
+        return [w for w in self.warnings if w.survives_sound]
+
+    def remaining(self) -> List[UafWarning]:
+        return [w for w in self.warnings if w.survives_all]
+
+    def by_pair_type(self) -> Dict[str, int]:
+        """Distribution of *remaining* warnings over origin categories."""
+        counts = {t: 0 for t in PAIR_TYPES}
+        for warning in self.remaining():
+            counts[warning.pair_type()] += 1
+        return counts
+
+    def counts(self) -> Dict[str, int]:
+        return {
+            **self.model_counts,
+            "potential": self.report.potential,
+            "after_sound": self.report.after_sound,
+            "after_unsound": self.report.after_unsound,
+        }
+
+
 @dataclass
-class AnalysisResult:
+class AnalysisResult(Table1View):
     """Everything the pipeline produced, plus its stage trace."""
 
     program: ThreadifiedProgram
@@ -71,33 +111,9 @@ class AnalysisResult:
         out["total"] = sum(span.duration for span in self.spans)
         return out
 
-    # -- Table 1 style accessors ----------------------------------------------
-
     @property
-    def potential(self) -> List[UafWarning]:
-        return self.warnings
-
-    def after_sound(self) -> List[UafWarning]:
-        return [w for w in self.warnings if w.survives_sound]
-
-    def remaining(self) -> List[UafWarning]:
-        return [w for w in self.warnings if w.survives_all]
-
-    def by_pair_type(self) -> Dict[str, int]:
-        """Distribution of *remaining* warnings over origin categories."""
-        counts = {t: 0 for t in PAIR_TYPES}
-        for warning in self.remaining():
-            counts[warning.pair_type()] += 1
-        return counts
-
-    def counts(self) -> Dict[str, int]:
-        forest_counts = self.program.forest.counts()
-        return {
-            **forest_counts,
-            "potential": self.report.potential,
-            "after_sound": self.report.after_sound,
-            "after_unsound": self.report.after_unsound,
-        }
+    def model_counts(self) -> Dict[str, int]:
+        return self.program.forest.counts()
 
     def describe_remaining(self, limit: Optional[int] = None) -> str:
         lines: List[str] = []
@@ -164,12 +180,19 @@ def analyze_module(
 
 def analyze_app(
     sources: Union[str, Iterable[Tuple[str, str]]],
-    manifest: Optional[Manifest] = None,
+    manifest_for: Optional[Callable[[Module], Optional[Manifest]]] = None,
     config: Optional[AnalysisConfig] = None,
     module_name: str = "app",
 ) -> AnalysisResult:
-    """Compile MiniDroid sources and run the full nAdroid pipeline."""
+    """Compile MiniDroid sources and run the full nAdroid pipeline.
+
+    ``manifest_for`` builds the app's manifest from its lowered module
+    (corpus apps mark components unreachable this way); without it the
+    manifest is inferred.  This is the one place the ``lowering`` span
+    is opened.
+    """
     checkpoint("lowering")
     with obs.span("lowering") as sp:
         module = lower_sources(sources, module_name=module_name, seal=False)
+    manifest = manifest_for(module) if manifest_for is not None else None
     return analyze_module(module, manifest, config, extra_spans=[sp])

@@ -13,66 +13,25 @@ the labels to :func:`repro.report.score.score_generated`.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Tuple, TYPE_CHECKING
+from typing import List, Optional, Tuple
 
-from .. import obs
-from ..core import AnalysisConfig, analyze_module, AnalysisResult
-from ..corpus.generator import (
-    generate_app,
-    generate_corpus,
-    generated_app_index,
-    GeneratedApp,
-    GeneratorConfig,
-)
-from ..lowering import lower_sources
-from ..resilience import checkpoint
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..runner import CorpusRunner
-    from ..runner.serialize import ResultData
-
-
-def analyze_generated_app(
-    app_name: str,
-    generator: Dict[str, Any],
-    config: Optional[AnalysisConfig] = None,
-) -> AnalysisResult:
-    """Regenerate one app from its ``(config, index)`` coordinates and run
-    the full pipeline on it (the generated-corpus analogue of
-    :func:`repro.harness.table1.analyze_corpus_app`)."""
-    gconfig = GeneratorConfig.from_dict(generator)
-    gen = generate_app(gconfig, generated_app_index(app_name))
-    obs.add("generator.labels", len(gen.labels))
-    checkpoint("lowering")
-    with obs.span("lowering") as sp:
-        module = lower_sources(gen.source, module_name=gen.name, seal=False)
-    return analyze_module(module, None, config, extra_spans=[sp])
-
-
-def generated_app_data(app_name: str,
-                       params: Dict[str, Any]) -> Dict[str, Any]:
-    """Worker payload for the ``generated`` task kind."""
-    from ..runner.serialize import result_data_to_dict, result_to_data
-
-    result = analyze_generated_app(
-        app_name, params["generator"], params.get("config")
-    )
-    return result_data_to_dict(result_to_data(result))
+from ..core import AnalysisConfig
+from ..corpus.generator import generate_corpus, GeneratedApp, GeneratorConfig
+from ..runner import CorpusRunner
+from ..runner.serialize import result_data_from_dict, ResultData
 
 
 def run_generated(
-    runner: "CorpusRunner",
+    runner: CorpusRunner,
     gconfig: GeneratorConfig,
     config: Optional[AnalysisConfig] = None,
-) -> Tuple[List[GeneratedApp], List[Optional["ResultData"]]]:
+) -> Tuple[List[GeneratedApp], List[Optional[ResultData]]]:
     """Generate the corpus and analyze every app through the runner.
 
     Returns the generated apps (with their labels) and the per-app
     results in the same order; a faulted app (``--keep-going``) yields
     ``None`` in the results list.
     """
-    from ..runner.serialize import result_data_from_dict
-
     apps = generate_corpus(gconfig)
     # a generated-corpus run is the canonical long run: name it on the
     # live /progress endpoint before the fan-out starts
@@ -82,7 +41,7 @@ def run_generated(
         [app.name for app in apps],
         {"config": config, "generator": gconfig.to_dict()},
     )
-    results: List[Optional["ResultData"]] = [
+    results: List[Optional[ResultData]] = [
         None if "error" in payload else result_data_from_dict(payload)
         for payload in payloads
     ]

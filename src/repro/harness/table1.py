@@ -10,27 +10,21 @@ category breakdown.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, TYPE_CHECKING, Union
+from typing import Dict, List, Optional
 
-from .. import obs
-from ..core import AnalysisConfig, analyze_module, AnalysisResult
+from ..core import AnalysisConfig, AnalysisResult
 from ..corpus import all_apps, AppSpec, FP_CATEGORIES
 from ..race.warnings import PAIR_TYPES
-from ..resilience import checkpoint
+from ..runner import corpus_input, CorpusRunner
+from ..runner.serialize import ResultData, result_to_data, row_from_dict
 from ..runtime import Simulator, validate_warning
 from .render import render_table
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..runner import CorpusRunner
-    from ..runner.serialize import ResultData
 
 
 @dataclass
 class Table1Row:
     app: AppSpec
-    #: the full in-process result on the serial path, or its serializable
-    #: :class:`repro.runner.ResultData` view when produced by the runner
-    result: Union[AnalysisResult, "ResultData"]
+    result: ResultData
     counts: Dict[str, int]
     pair_types: Dict[str, int]
     true_harmful: int = 0
@@ -44,21 +38,16 @@ class Table1Row:
 
 def analyze_corpus_app(spec: AppSpec,
                        config: Optional[AnalysisConfig] = None) -> AnalysisResult:
-    checkpoint("lowering")
-    with obs.span("lowering") as sp:
-        module = spec.compile()
-    return analyze_module(
-        module, spec.manifest_for(module), config, extra_spans=[sp]
-    )
+    return corpus_input(spec).analyze(config)
 
 
-def build_row(spec: AppSpec, validate: bool = True,
-              random_attempts: int = 40,
-              config: Optional[AnalysisConfig] = None) -> Table1Row:
-    result = analyze_corpus_app(spec, config)
+def build_row(spec: AppSpec, result: AnalysisResult, validate: bool = True,
+              random_attempts: int = 40) -> Table1Row:
+    """One app's Table 1 row from its analysis (validation needs the
+    in-process program, so rows are built where the analysis ran)."""
     row = Table1Row(
         app=spec,
-        result=result,
+        result=result_to_data(result),
         counts=result.counts(),
         pair_types=result.by_pair_type(),
     )
@@ -95,26 +84,15 @@ def build_row(spec: AppSpec, validate: bool = True,
 def run_table1(validate: bool = True, apps: Optional[List[AppSpec]] = None,
                random_attempts: int = 40,
                config: Optional[AnalysisConfig] = None,
-               runner: Optional["CorpusRunner"] = None) -> List[Table1Row]:
+               runner: Optional[CorpusRunner] = None) -> List[Table1Row]:
     """Build every row (validation dominates: ~6 s serially on 2 vCPUs).
 
-    Without a ``runner`` rows are built serially in-process and carry full
-    :class:`AnalysisResult` objects.  With a :class:`repro.runner
-    .CorpusRunner` the per-app analyses fan out over worker processes
-    (and/or come from the result cache) and rows carry serializable
-    :class:`repro.runner.ResultData` views; rendered output is identical
-    either way.
+    The per-app analyses run on ``runner`` -- by default a serial,
+    uncached :class:`repro.runner.CorpusRunner` -- and rows carry
+    serializable :class:`repro.runner.ResultData` views.
     """
     specs = apps if apps is not None else all_apps()
-    if runner is None:
-        return [
-            build_row(spec, validate=validate,
-                      random_attempts=random_attempts, config=config)
-            for spec in specs
-        ]
-    from ..runner.serialize import row_from_dict
-
-    payloads, _ = runner.run(
+    payloads, _ = (runner or CorpusRunner()).run(
         "table1",
         [spec.name for spec in specs],
         {"validate": validate, "random_attempts": random_attempts,

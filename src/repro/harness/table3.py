@@ -14,17 +14,14 @@ misses every cross-class and cross-thread true UAF nAdroid reports.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, TYPE_CHECKING
+from dataclasses import dataclass, field
+from typing import Dict, List, Optional
 
-from ..core import AnalysisConfig
+from ..core import AnalysisConfig, AnalysisResult
 from ..corpus import AppSpec, train_apps
 from ..deva import DevaWarning, run_deva
+from ..runner import CorpusRunner
 from .render import render_table
-from .table1 import analyze_corpus_app
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..runner import CorpusRunner
 
 
 @dataclass
@@ -44,15 +41,24 @@ class Table3Row:
         return "Detected & Reported"
 
 
-def table3_app_data(spec: AppSpec,
-                    config: Optional[AnalysisConfig] = None) -> Dict:
+@dataclass
+class Table3Data:
+    """Table 3 in both directions, from one run over the train group."""
+
+    #: every harmful DEvA warning with nAdroid's verdict
+    rows: List[Table3Row] = field(default_factory=list)
+    #: app -> true UAFs nAdroid reports that DEvA's harmful set misses
+    #: entirely (the false-negative direction of the comparison)
+    deva_missed: Dict[str, int] = field(default_factory=dict)
+
+
+def table3_app_data(spec: AppSpec, result: AnalysisResult) -> Dict:
     """One app's DEvA-vs-nAdroid comparison data (serializable).
 
     ``rows`` carries every harmful DEvA warning with nAdroid's verdict;
     ``deva_missed`` counts the true UAFs nAdroid reports on this app that
     DEvA's harmful set misses (the reverse direction of Table 3).
     """
-    result = analyze_corpus_app(spec, config)
     deva_warnings = run_deva(result.program.module)
     nadroid_by_key = {w.key: w for w in result.warnings}
     rows = []
@@ -101,27 +107,20 @@ def _rows_from_data(spec: AppSpec, payload: Dict) -> List[Table3Row]:
     ]
 
 
-def _train_data(config: Optional[AnalysisConfig] = None,
-                runner: Optional["CorpusRunner"] = None):
-    specs = train_apps()
-    if runner is None:
-        payloads = [table3_app_data(spec, config) for spec in specs]
-    else:
-        payloads, _ = runner.run(
-            "table3", [spec.name for spec in specs], {"config": config}
-        )
-    # Drop faulted apps ({"error": ...} under --keep-going) so training
-    # proceeds on the apps that did analyze.
-    return [(spec, payload) for spec, payload in zip(specs, payloads)
-            if "error" not in payload]
-
-
 def run_table3(config: Optional[AnalysisConfig] = None,
-               runner: Optional["CorpusRunner"] = None) -> List[Table3Row]:
-    rows: List[Table3Row] = []
-    for spec, payload in _train_data(config, runner):
-        rows.extend(_rows_from_data(spec, payload))
-    return rows
+               runner: Optional[CorpusRunner] = None) -> Table3Data:
+    specs = train_apps()
+    payloads, _ = (runner or CorpusRunner()).run(
+        "table3", [spec.name for spec in specs], {"config": config}
+    )
+    data = Table3Data()
+    for spec, payload in zip(specs, payloads):
+        if "error" in payload:  # faulted app under --keep-going
+            continue
+        data.rows.extend(_rows_from_data(spec, payload))
+        if spec.true_uaf_fields and payload["deva_missed"]:
+            data.deva_missed[spec.name] = payload["deva_missed"]
+    return data
 
 
 def summarize_table3(rows: List[Table3Row]) -> Dict[str, int]:
@@ -136,21 +135,7 @@ def summarize_table3(rows: List[Table3Row]) -> Dict[str, int]:
     }
 
 
-def nadroid_only_true_uafs(
-        config: Optional[AnalysisConfig] = None,
-        runner: Optional["CorpusRunner"] = None) -> Dict[str, int]:
-    """True UAFs nAdroid reports that DEvA's harmful set misses entirely
-    (the false-negative direction of the comparison)."""
-    missed_by_deva: Dict[str, int] = {}
-    for spec, payload in _train_data(config, runner):
-        if spec.true_uaf_fields and payload["deva_missed"]:
-            missed_by_deva[spec.name] = payload["deva_missed"]
-    return missed_by_deva
-
-
-def render_table3(rows: List[Table3Row],
-                  config: Optional[AnalysisConfig] = None,
-                  runner: Optional["CorpusRunner"] = None) -> str:
+def render_table3(data: Table3Data) -> str:
     body = [
         (
             r.app,
@@ -159,13 +144,12 @@ def render_table3(rows: List[Table3Row],
             r.deva_warning.free_method,
             r.verdict + (f" ({r.filtered_by})" if r.filtered_by else ""),
         )
-        for r in rows
+        for r in data.rows
     ]
     table = render_table(
         ["APP", "Field", "Use Callback", "Free Callback", "nAdroid"], body
     )
-    s = summarize_table3(rows)
-    deva_misses = nadroid_only_true_uafs(config, runner)
+    s = summarize_table3(data.rows)
     return (
         f"{table}\n\n"
         f"DEvA harmful: {s['deva_harmful']}; nAdroid detects "
@@ -173,5 +157,5 @@ def render_table3(rows: List[Table3Row],
         f"{s['agreed_harmful']}, cannot model {s['not_detected']} "
         f"(paper: 13 / 12 / 11 / 1 / 1)\n"
         f"True UAFs nAdroid reports that DEvA misses: "
-        f"{sum(deva_misses.values())} across {sorted(deva_misses)}"
+        f"{sum(data.deva_missed.values())} across {sorted(data.deva_missed)}"
     )

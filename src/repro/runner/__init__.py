@@ -13,9 +13,11 @@ from .cache import (
     ResultCache,
 )
 from .runner import (
+    AppInput,
+    corpus_input,
     CorpusRunner,
-    execute_app_task,
     execute_app_task_observed,
+    resolve_input,
     RunMetrics,
     RunStats,
     TASK_KINDS,
@@ -34,8 +36,9 @@ from .serialize import (
 )
 
 __all__ = [
-    "cache_key", "CACHE_SCHEMA", "config_fingerprint", "CorpusRunner",
-    "default_cache_dir", "execute_app_task", "execute_app_task_observed",
+    "AppInput", "cache_key", "CACHE_SCHEMA", "config_fingerprint",
+    "corpus_input", "CorpusRunner", "default_cache_dir",
+    "execute_app_task_observed", "resolve_input",
     "result_data_from_dict", "result_data_to_dict", "result_to_data",
     "ResultCache", "ResultData", "row_from_dict", "row_to_dict",
     "RunMetrics", "RunStats", "TASK_KINDS", "warning_from_dict",

@@ -7,6 +7,11 @@ they share this runner: a fan-out over apps on long-lived forked workers
 content-addressed on-disk result cache in front (see
 :mod:`repro.runner.cache`).
 
+Every task is the same chain: :func:`resolve_input` finds the app's
+input (the call that also addresses its cache entry),
+:func:`repro.core.analyze_app` lowers and analyzes it, and a per-kind
+projection keeps what the driver aggregates.
+
 Determinism contract: results are keyed and re-ordered by the input app
 order and every payload is serialized in a canonical form (warnings sorted
 by :func:`repro.runner.serialize.warning_sort_key`), so a ``--jobs 4`` run
@@ -23,10 +28,20 @@ built.  The runner exposes them as :attr:`CorpusRunner.last_metrics`.
 from __future__ import annotations
 
 import time
+from contextlib import nullcontext
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
-from ..obs import merge_snapshots, MetricsSnapshot, Recorder, RunEventLog
+from ..android.manifest import Manifest
+from ..core import AnalysisConfig, AnalysisResult, analyze_app
+from ..corpus import app, AppSpec
+from ..corpus.generator import (
+    generate_app, generated_app_index, GeneratorConfig,
+)
+from ..corpus.injector import injected_source
+from ..ir import Module
+from ..obs import add as obs_add, merge_snapshots, MetricsSnapshot
+from ..obs import Recorder, RunEventLog
 from ..obs import span as obs_span, track_memory, use as obs_use
 from ..resilience import (
     active_plan,
@@ -38,97 +53,147 @@ from ..resilience import (
     task_scope,
 )
 from .cache import cache_key, ResultCache
-from .serialize import config_fingerprint
+from .serialize import (
+    config_fingerprint, result_data_to_dict, result_to_data, row_to_dict,
+)
 
 
-def _task_table1(app_name: str, params: Dict[str, Any]) -> Dict[str, Any]:
-    from ..corpus import app
+@dataclass(frozen=True)
+class AppInput:
+    """One task's app as :func:`resolve_input` finds it: the sources the
+    cache key addresses and the task lowers and analyzes."""
+
+    module_name: str
+    #: one source text, or ``(path, text)`` files
+    sources: Union[str, Sequence[Tuple[str, str]]]
+    #: builds the manifest from the lowered module (``None``: inferred)
+    manifest_for: Optional[Callable[[Module], Optional[Manifest]]] = None
+    #: the registry :class:`~repro.corpus.AppSpec` or the
+    #: :class:`~repro.corpus.GeneratedApp` the input was resolved from
+    origin: Any = None
+    #: counters the input itself adds to the app's metrics snapshot
+    counters: Tuple[Tuple[str, int], ...] = ()
+
+    def key_text(self) -> str:
+        """The source text whose content addresses the cache entry."""
+        if isinstance(self.sources, str):
+            return self.sources
+        # Request-supplied files: the canonical concatenation of every
+        # file's path and text, so any edit -- or a rename -- re-analyzes,
+        # while the same app posted in a different batch (or by a
+        # different client) still hits.
+        return "\x00".join(f"{path}\n{text}" for path, text in self.sources)
+
+    def analyze(self, config: Optional[AnalysisConfig]) -> AnalysisResult:
+        for name, value in self.counters:
+            obs_add(name, value)
+        return analyze_app(self.sources, self.manifest_for, config,
+                           self.module_name)
+
+
+def corpus_input(spec: AppSpec) -> AppInput:
+    """The input of a registry app."""
+    return AppInput(spec.name, spec.source(), spec.manifest_for, spec)
+
+
+def resolve_input(kind: str, app_name: str,
+                  params: Dict[str, Any]) -> AppInput:
+    """The one source resolver: the cache key and the task both call it."""
+    if kind == "analyze":
+        # the service path: sources arrive *in* the params
+        # (``{"sources": {app: [[path, text], ...]}}``)
+        return AppInput("app", [tuple(entry)
+                                for entry in params["sources"][app_name]])
+    if kind in ("generated", "gen-timing"):
+        # Generated apps have no registry entry: regenerate the app from
+        # the (config, index) coordinates carried in the params.
+        gen = generate_app(GeneratorConfig.from_dict(params["generator"]),
+                           generated_app_index(app_name))
+        return AppInput(gen.name, gen.source, origin=gen,
+                        counters=(("generator.labels", len(gen.labels)),))
+    spec = app(app_name)
+    if kind == "table2":
+        # the injected variant keeps its app's manifest
+        return AppInput(f"{app_name}-injected", injected_source(app_name),
+                        spec.manifest_for, spec)
+    return corpus_input(spec)
+
+
+def _task(kind: str, project: Callable[..., Dict[str, Any]]):
+    """The task of ``kind``: resolve the app's input, analyze it, and
+    keep ``project(input, result, params)`` as the payload."""
+
+    def task(app_name: str, params: Dict[str, Any]) -> Dict[str, Any]:
+        app_input = resolve_input(kind, app_name, params)
+        result = app_input.analyze(params.get("config"))
+        return project(app_input, result, params)
+
+    return task
+
+
+def _table1_row(app_input: AppInput, result: AnalysisResult,
+                params: Dict[str, Any]) -> Dict[str, Any]:
     from ..harness.table1 import build_row
-    from .serialize import row_to_dict
 
-    row = build_row(
-        app(app_name),
+    return row_to_dict(build_row(
+        app_input.origin, result,
         validate=params.get("validate", True),
         random_attempts=params.get("random_attempts", 40),
-        config=params.get("config"),
-    )
-    return row_to_dict(row)
+    ))
 
 
-def _task_figure5(app_name: str, params: Dict[str, Any]) -> Dict[str, Any]:
-    from ..corpus import app
+def _figure5(app_input: AppInput, result: AnalysisResult,
+             params: Dict[str, Any]) -> Dict[str, Any]:
     from ..harness.figure5 import figure5_app_data
 
-    return figure5_app_data(app(app_name), params.get("config"))
+    return figure5_app_data(result)
 
 
-def _task_table2(app_name: str, params: Dict[str, Any]) -> Dict[str, Any]:
+def _table2(app_input: AppInput, result: AnalysisResult,
+            params: Dict[str, Any]) -> Dict[str, Any]:
     from ..harness.table2 import table2_app_data
 
-    return table2_app_data(app_name, params.get("config"))
+    return table2_app_data(app_input.origin.name, result)
 
 
-def _task_table3(app_name: str, params: Dict[str, Any]) -> Dict[str, Any]:
-    from ..corpus import app
+def _table3(app_input: AppInput, result: AnalysisResult,
+            params: Dict[str, Any]) -> Dict[str, Any]:
     from ..harness.table3 import table3_app_data
 
-    return table3_app_data(app(app_name), params.get("config"))
+    return table3_app_data(app_input.origin, result)
 
 
-def _task_timing(app_name: str, params: Dict[str, Any]) -> Dict[str, Any]:
-    from ..corpus import app
-    from ..harness.table1 import analyze_corpus_app
-
-    result = analyze_corpus_app(app(app_name), params.get("config"))
+def _timings(app_input: AppInput, result: AnalysisResult,
+             params: Dict[str, Any]) -> Dict[str, Any]:
     return {"timings": dict(result.timings)}
 
 
-def _task_generated(app_name: str, params: Dict[str, Any]) -> Dict[str, Any]:
-    from ..harness.generated import generated_app_data
-
-    return generated_app_data(app_name, params)
-
-
-def _task_gen_timing(app_name: str, params: Dict[str, Any]) -> Dict[str, Any]:
-    from ..harness.generated import analyze_generated_app
-
-    result = analyze_generated_app(
-        app_name, params["generator"], params.get("config")
-    )
-    return {"timings": dict(result.timings)}
+def _result_data(app_input: AppInput, result: AnalysisResult,
+                 params: Dict[str, Any]) -> Dict[str, Any]:
+    return result_data_to_dict(result_to_data(result))
 
 
-def _task_analyze(app_name: str, params: Dict[str, Any]) -> Dict[str, Any]:
-    """One service/CLI analysis job unit: sources arrive *in* the params
-    (``{"sources": {app: [[path, text], ...]}}``) instead of being
-    resolved from the corpus registry -- the ``repro serve`` daemon feeds
-    request bodies through here."""
-    from ..core import analyze_app
-    from .serialize import result_data_to_dict, result_to_data
-
-    files = [tuple(entry) for entry in params["sources"][app_name]]
-    result = analyze_app(files, config=params.get("config"))
-    return {"result": result_data_to_dict(result_to_data(result))}
+def _job_result(app_input: AppInput, result: AnalysisResult,
+                params: Dict[str, Any]) -> Dict[str, Any]:
+    return {"result": _result_data(app_input, result, params)}
 
 
 _TASKS = {
-    "table1": _task_table1,
-    "figure5": _task_figure5,
-    "table2": _task_table2,
-    "table3": _task_table3,
-    "timing": _task_timing,
-    "generated": _task_generated,
-    "gen-timing": _task_gen_timing,
-    "analyze": _task_analyze,
+    kind: _task(kind, project)
+    for kind, project in (
+        ("table1", _table1_row),
+        ("figure5", _figure5),
+        ("table2", _table2),
+        ("table3", _table3),
+        ("timing", _timings),
+        ("generated", _result_data),
+        ("gen-timing", _timings),
+        # one service/CLI analysis job unit (the ``repro serve`` daemon)
+        ("analyze", _job_result),
+    )
 }
 
 TASK_KINDS = tuple(sorted(_TASKS))
-
-
-def execute_app_task(kind: str, app_name: str,
-                     params: Dict[str, Any]) -> Dict[str, Any]:
-    """Run one per-app analysis task, without instrumentation."""
-    return _TASKS[kind](app_name, params)
 
 
 def execute_app_task_observed(kind: str, app_name: str,
@@ -141,19 +206,13 @@ def execute_app_task_observed(kind: str, app_name: str,
     instead of interleaving them.
     """
     recorder = Recorder()
-    with task_scope(app_name):
-        with obs_use(recorder):
-            if params.get("memory"):
-                # opt-in tracemalloc gauges (mem.app.peak_kb and
-                # mem.stage.<span>.peak_kb) ride the same snapshot
-                with track_memory(recorder):
-                    with obs_span(f"app:{app_name}", kind=kind):
-                        checkpoint("task")
-                        data = _TASKS[kind](app_name, params)
-            else:
-                with obs_span(f"app:{app_name}", kind=kind):
-                    checkpoint("task")
-                    data = _TASKS[kind](app_name, params)
+    # opt-in tracemalloc gauges (mem.app.peak_kb and
+    # mem.stage.<span>.peak_kb) ride the same snapshot
+    memory = track_memory(recorder) if params.get("memory") else nullcontext()
+    with task_scope(app_name), obs_use(recorder), memory:
+        with obs_span(f"app:{app_name}", kind=kind):
+            checkpoint("task")
+            data = _TASKS[kind](app_name, params)
     return {"data": data, "obs": recorder.snapshot().to_dict()}
 
 
@@ -210,35 +269,6 @@ def _publisher(events: RunEventLog, policy: FaultPolicy) -> Observer:
             publish_done(name, "analyzed", payload)
 
     return observe
-
-
-def _source_for(kind: str, app_name: str, params: Dict[str, Any]) -> str:
-    """The source text whose content addresses this task's cache entry."""
-    if kind == "analyze":
-        # Request-supplied sources (the service path): the canonical
-        # concatenation of every file's path and text, so any edit -- or
-        # a rename -- re-analyzes, while the same app posted in a
-        # different batch (or by a different client) still hits.
-        return "\x00".join(
-            f"{path}\n{text}"
-            for path, text in params["sources"][app_name]
-        )
-    if kind == "table2":
-        from ..corpus.injector import injected_source
-
-        return injected_source(app_name)
-    if kind in ("generated", "gen-timing"):
-        # Generated apps have no registry entry: regenerate the source
-        # from the (config, index) coordinates carried in the params.
-        from ..corpus.generator import (
-            generate_app, generated_app_index, GeneratorConfig,
-        )
-
-        gconfig = GeneratorConfig.from_dict(params["generator"])
-        return generate_app(gconfig, generated_app_index(app_name)).source
-    from ..corpus import app
-
-    return app(app_name).source()
 
 
 @dataclass
@@ -369,7 +399,7 @@ class CorpusRunner:
             "config": config_fingerprint(params.get("config"))
         }
         for name, value in params.items():
-            # "sources" is content-addressed per app via _source_for;
+            # "sources" is content-addressed per app via resolve_input;
             # hashing the whole map here would key every entry on its
             # *batch* composition and defeat cross-request cache hits.
             if name not in ("config", "sources"):
@@ -417,8 +447,9 @@ class CorpusRunner:
         pending: List[str] = []
         for name in names:
             if self.cache is not None:
-                key = cache_key(kind, _source_for(kind, name, params),
-                                fingerprint)
+                key = cache_key(
+                    kind, resolve_input(kind, name, params).key_text(),
+                    fingerprint)
                 keys[name] = key
                 hit = self.cache.lookup(key)
                 if hit is not None:

@@ -1,16 +1,17 @@
 """Serializable views of analysis results (the runner's wire format).
 
-The parallel runner executes :func:`repro.harness.table1.build_row` (and
-its figure/table siblings) in worker processes and persists the outcome in
-the on-disk result cache, so everything the harness consumes downstream
-must round-trip through plain JSON-compatible dicts.  This module provides
-that layer:
+The corpus runner executes every per-app analysis task (Table 1 rows and
+the figure/table projections) in worker processes and persists the
+outcome in the on-disk result cache, so everything the harness consumes
+downstream must round-trip through plain JSON-compatible dicts.  This
+module provides that layer:
 
 * ``warning_to_dict`` / ``warning_from_dict`` -- a :class:`UafWarning`
   with all occurrences and their filter verdicts,
 * :class:`ResultData` -- the serializable stand-in for
-  :class:`repro.core.AnalysisResult` (same Table-1-style accessors, minus
-  the program/points-to objects which never cross process boundaries),
+  :class:`repro.core.AnalysisResult` (the same :class:`repro.core
+  .Table1View` accessors, minus the program/points-to objects which never
+  cross process boundaries),
 * ``row_to_dict`` / ``row_from_dict`` -- a full Table 1 row,
 * ``config_fingerprint`` -- the canonical dict of an
   :class:`repro.core.AnalysisConfig` used in cache keys.
@@ -25,11 +26,11 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass, field
 from typing import Any, Dict, List, Optional
 
-from ..core import AnalysisConfig, AnalysisResult
+from ..core import AnalysisConfig, AnalysisResult, Table1View
 from ..filters.pipeline import FilterReport
 from ..ir import FieldRef
 from ..race.events import AccessEvent
-from ..race.warnings import Occurrence, PAIR_TYPES, UafWarning, Witness
+from ..race.warnings import Occurrence, UafWarning, Witness
 
 
 def warning_sort_key(warning: UafWarning):
@@ -147,13 +148,14 @@ def _report_from_dict(data: Dict[str, Any]) -> FilterReport:
 
 
 @dataclass
-class ResultData:
+class ResultData(Table1View):
     """Serializable stand-in for :class:`repro.core.AnalysisResult`.
 
     Carries the warnings (with filter verdicts), the filter report, stage
     timings and the EC/PC/T model sizes -- everything the harness renderers
-    and the CSV export consume.  The heavyweight program/points-to/lockset
-    objects stay in the worker that produced them.
+    and the CSV export consume, behind the same Table 1 accessors.  The
+    heavyweight program/points-to/lockset objects stay in the worker that
+    produced them.
     """
 
     warnings: List[UafWarning] = field(default_factory=list)
@@ -163,32 +165,6 @@ class ResultData:
     timings: Dict[str, float] = field(default_factory=dict)
     model_counts: Dict[str, int] = field(default_factory=dict)
 
-    # -- AnalysisResult-compatible accessors ---------------------------------
-
-    @property
-    def potential(self) -> List[UafWarning]:
-        return self.warnings
-
-    def after_sound(self) -> List[UafWarning]:
-        return [w for w in self.warnings if w.survives_sound]
-
-    def remaining(self) -> List[UafWarning]:
-        return [w for w in self.warnings if w.survives_all]
-
-    def by_pair_type(self) -> Dict[str, int]:
-        counts = {t: 0 for t in PAIR_TYPES}
-        for warning in self.remaining():
-            counts[warning.pair_type()] += 1
-        return counts
-
-    def counts(self) -> Dict[str, int]:
-        return {
-            **self.model_counts,
-            "potential": self.report.potential,
-            "after_sound": self.report.after_sound,
-            "after_unsound": self.report.after_unsound,
-        }
-
 
 def result_to_data(result: AnalysisResult) -> ResultData:
     """Project a full in-process result onto its serializable view."""
@@ -196,7 +172,7 @@ def result_to_data(result: AnalysisResult) -> ResultData:
         warnings=sorted(result.warnings, key=warning_sort_key),
         report=result.report,
         timings=dict(result.timings),
-        model_counts=result.program.forest.counts(),
+        model_counts=result.model_counts,
     )
 
 
@@ -220,9 +196,6 @@ def result_data_from_dict(payload: Dict[str, Any]) -> ResultData:
 
 def row_to_dict(row) -> Dict[str, Any]:
     """Serialize a :class:`repro.harness.table1.Table1Row`."""
-    result = row.result
-    if isinstance(result, AnalysisResult):
-        result = result_to_data(result)
     return {
         "app": row.app.name,
         "counts": dict(row.counts),
@@ -230,7 +203,7 @@ def row_to_dict(row) -> Dict[str, Any]:
         "true_harmful": row.true_harmful,
         "confirmed_fields": list(row.confirmed_fields),
         "fp_breakdown": dict(row.fp_breakdown),
-        "result": result_data_to_dict(result),
+        "result": result_data_to_dict(row.result),
     }
 
 

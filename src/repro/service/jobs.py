@@ -27,6 +27,7 @@ Both paths build their report through :func:`single_app_report`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -63,8 +64,10 @@ class AppSource:
     files: Tuple[Tuple[str, str], ...]
 
     @classmethod
-    def from_dict(cls, payload: Dict[str, Any],
+    def from_dict(cls, payload: Any,
                   name: Optional[str] = None) -> "AppSource":
+        if not isinstance(payload, dict):
+            raise JobSpecError("each app must be a {name, files} object")
         app_name = name if name is not None else payload.get("name")
         if not app_name or not isinstance(app_name, str):
             raise JobSpecError("every app needs a non-empty string name")
@@ -110,8 +113,12 @@ class JobSpec:
             )
         if self.k < 0:
             raise JobSpecError("k must be >= 0")
-        if self.timeout is not None and self.timeout <= 0:
-            raise JobSpecError("timeout must be a positive number of seconds")
+        # written so NaN fails too: a NaN or infinite timeout would mean
+        # no deadline at all
+        if self.timeout is not None and not 0 < self.timeout < math.inf:
+            raise JobSpecError(
+                "timeout must be a positive, finite number of seconds"
+            )
         if self.max_retries < 0:
             raise JobSpecError("max_retries must be >= 0")
         names = [app.name for app in self.apps]
@@ -157,7 +164,7 @@ class JobSpec:
             max_retries = int(payload.get("max_retries", 1))
             timeout = payload.get("timeout")
             timeout = None if timeout is None else float(timeout)
-        except (TypeError, ValueError) as exc:
+        except (OverflowError, TypeError, ValueError) as exc:
             raise JobSpecError(f"bad numeric field: {exc}") from exc
         return cls(
             apps=apps,

@@ -7,6 +7,7 @@ import pytest
 
 from repro.corpus import app
 from repro.harness import (
+    analyze_corpus_app,
     build_row,
     CSV_COLUMNS,
     percent,
@@ -71,6 +72,8 @@ def test_csv_export_schema(small_rows):
 
 
 def test_build_row_with_validation_on_tiny_app():
-    row = build_row(app("clipstack"), validate=True, random_attempts=5)
+    spec = app("clipstack")
+    row = build_row(spec, analyze_corpus_app(spec), validate=True,
+                    random_attempts=5)
     assert row.true_harmful == 0
     assert row.fp_breakdown and sum(row.fp_breakdown.values()) == 0

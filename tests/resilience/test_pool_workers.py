@@ -33,7 +33,7 @@ def _pid_task(name, params):
 
 def _pid_analyze_task(name, params):
     return {"pid": os.getpid(),
-            **runner_module._task_analyze(name, params)}
+            **runner_module._TASKS["analyze"](name, params)}
 
 
 @pytest.fixture(autouse=True)

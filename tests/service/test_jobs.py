@@ -104,6 +104,19 @@ def test_from_request_batch_parses_every_app():
      "client"),
     ({"files": [{"path": "a", "text": "x"}], "k": "lots"}, False,
      "numeric"),
+    # an app entry that is not an object
+    ({"apps": ["x"]}, True, "object"),
+    ({"apps": [None]}, True, "object"),
+    # too large for int(): JSON 1e999 parses as float infinity
+    ({"files": [{"path": "a", "text": "x"}], "k": float("inf")}, False,
+     "numeric"),
+    ({"files": [{"path": "a", "text": "x"}], "max_retries": float("inf")},
+     False, "numeric"),
+    # a timeout that would mean no deadline at all
+    ({"files": [{"path": "a", "text": "x"}], "timeout": float("nan")},
+     False, "finite"),
+    ({"files": [{"path": "a", "text": "x"}], "timeout": float("inf")},
+     False, "finite"),
 ])
 def test_from_request_rejects_malformed_bodies(payload, batch, match):
     with pytest.raises(JobSpecError, match=match):

@@ -297,6 +297,16 @@ def test_http_errors(server):
         assert exc.code == 400
 
 
+def test_malformed_batch_is_a_400_and_the_daemon_keeps_serving(server):
+    status, _, body = _request(server.url + "/v1/batch", {"apps": ["x"]})
+    assert status == 400
+    assert "object" in json.loads(body)["error"]
+    status, _, body = _request(server.url + "/v1/analyze",
+                               _analyze_payload())
+    assert status == 200
+    assert json.loads(body)["status"] == "done"
+
+
 def test_server_reuses_addresses_and_accepts_port_zero():
     from repro.obs.telemetry import LoopbackHTTPServer
 

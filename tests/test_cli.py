@@ -1,5 +1,7 @@
 """CLI integration tests (in-process, via ``repro.cli.main``)."""
 
+import json
+
 import pytest
 
 from repro.cli import main
@@ -434,6 +436,19 @@ def test_corpus_events_out_and_summary(tmp_path, capsys):
     assert "1 run(s), 2 apps" in out
     assert "analyzed : 2" in out
     assert "per-app latency over 2 apps" in out
+
+
+def test_table3_runs_each_train_app_once(tmp_path, capsys):
+    # both directions of the comparison come from one run over the 7
+    # train apps
+    events = tmp_path / "events.jsonl"
+    assert main(["table3", "--no-cache", "--events-out", str(events)]) == 0
+    assert "True UAFs nAdroid reports that DEvA misses" in \
+        capsys.readouterr().out
+    kinds = [json.loads(line)["event"]
+             for line in events.read_text().splitlines()]
+    assert kinds.count("run-start") == 1
+    assert kinds.count("app-done") == 7
 
 
 def test_events_summarize_rejects_malformed_file(tmp_path, capsys):

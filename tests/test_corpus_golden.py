@@ -7,9 +7,9 @@ change moves these numbers, re-derive them with::
 
     PYTHONPATH=src python -c "
     from repro.corpus import app
-    from repro.harness.table1 import build_row
+    from repro.harness import run_table1
     for n in ('todolist','clipstack','photoaffix','dashclock','connectbot'):
-        r = build_row(app(n), validate=False)
+        [r] = run_table1(validate=False, apps=[app(n)])
         print(n, r.counts, {k: v for k, v in r.pair_types.items() if v})"
 
 and update GOLDEN (plus the validated connectbot block) in the same PR.
@@ -19,7 +19,6 @@ import pytest
 
 from repro.corpus import app
 from repro.harness import render_table1, run_table1
-from repro.harness.table1 import build_row
 
 #: app -> (counts, non-zero pair types)
 GOLDEN = {
@@ -54,14 +53,14 @@ GOLDEN = {
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_per_app_counts_match_golden(name):
     counts, pair_types = GOLDEN[name]
-    row = build_row(app(name), validate=False)
+    [row] = run_table1(validate=False, apps=[app(name)])
     assert row.counts == counts
     assert {k: v for k, v in row.pair_types.items() if v} == pair_types
 
 
 def test_connectbot_validated_golden():
     """Dynamic confirmation is seeded and must stay deterministic."""
-    row = build_row(app("connectbot"), validate=True)
+    [row] = run_table1(validate=True, apps=[app("connectbot")])
     assert row.true_harmful == 6
     assert sorted(set(row.confirmed_fields)) == [
         "bound", "emulation", "hostBridge", "relay", "transport",
